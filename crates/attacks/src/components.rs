@@ -342,7 +342,7 @@ mod tests {
     fn zero_dose_slots_are_device_noops() {
         let mut mc = MemoryController::new(Module::new(ModuleConfig::small_test(), 3));
         let before = mc.module().ref_count();
-        let acts_before = mc.registry().counter(dram_sim::metrics::CTR_ACT).get();
+        let acts_before = mc.module().stats().activations;
         let slots = [
             Slot::Burst { row: RowAddr::new(10), acts: 0 },
             Slot::Pair { first: RowAddr::new(10), second: RowAddr::new(12), pairs: 0 },
@@ -350,7 +350,7 @@ mod tests {
         ];
         execute_slots(&mut mc, Bank::new(0), &slots).unwrap();
         assert_eq!(mc.module().ref_count(), before);
-        assert_eq!(mc.registry().counter(dram_sim::metrics::CTR_ACT).get(), acts_before);
+        assert_eq!(mc.module().stats().activations, acts_before);
     }
 
     #[test]

@@ -846,8 +846,11 @@ mod tests {
         let spec = by_id("A5").unwrap();
         let config =
             EvalConfig { registry: Some(std::sync::Arc::clone(&registry)), ..EvalConfig::quick(4) };
-        let sweep = attack_columns(&spec, &config);
-        assert!(sweep.vulnerable_pct() > 0.0);
+        // A metered pool, as the repro bins run it, so the artifact
+        // carries the pool's task-time histograms.
+        let pool = par_config(1, &registry);
+        let sweeps = attack_columns_par(std::slice::from_ref(&spec), &config, &pool);
+        assert!(sweeps[0].vulnerable_pct() > 0.0);
 
         let path = std::env::temp_dir().join(format!("utrr-artifact-{}.jsonl", std::process::id()));
         emit_metrics(&registry, Some(&path)).expect("artifact writes");

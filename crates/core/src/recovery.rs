@@ -179,10 +179,9 @@ pub fn ladder_event(
     bank: Bank,
     row: Option<RowAddr>,
 ) {
-    let registry = std::sync::Arc::clone(mc.registry());
-    registry.counter(counter).inc();
+    mc.counter(counter).inc();
     let phys = row.map(|r| mc.module().phys_of(r).index());
-    registry.trace(
+    mc.registry().trace(
         obs::TraceKind::Recovery,
         mc.now().as_ns(),
         u32::from(bank.index()),
@@ -434,6 +433,25 @@ mod tests {
         assert!(budget.exhausted(&mut mc, BANK), "latched");
         assert_eq!(mc.recovery().budget_trips, 1, "recorded once, not per poll");
         assert_eq!(mc.registry().counter(CTR_BUDGET_TRIPS).get(), 1);
+    }
+
+    /// Budgets count the controller's own ACTs: a second controller
+    /// hammering a module on the same shared registry must not trip
+    /// this one's breaker (the ladder never reads a shared registry).
+    #[test]
+    fn phase_budget_ignores_other_devices_on_a_shared_registry() {
+        let registry = obs::MetricsRegistry::shared();
+        let mut a = controller();
+        let mut b = controller();
+        a.module_mut().attach_registry(std::sync::Arc::clone(&registry));
+        b.module_mut().attach_registry(std::sync::Arc::clone(&registry));
+        let mut budget = PhaseBudget::begin(&b, Some(10));
+        a.module_mut().hammer(BANK, RowAddr::new(3), 50).unwrap();
+        a.module_mut().flush_metrics();
+        assert!(!budget.exhausted(&mut b, BANK), "A's ACTs tripped B's budget");
+        b.module_mut().hammer(BANK, RowAddr::new(3), 10).unwrap();
+        assert!(budget.exhausted(&mut b, BANK));
+        assert_eq!(a.recovery().budget_trips, 0);
     }
 
     #[test]

@@ -63,13 +63,12 @@ pub fn read_row_voted(
     let a = mc.read_row(bank, row)?;
     let b = mc.read_row(bank, row)?;
     let c = mc.read_row(bank, row)?;
-    let registry = std::sync::Arc::clone(mc.registry());
-    registry.counter(CTR_VOTED_READS).inc();
+    mc.counter(CTR_VOTED_READS).inc();
     if a.flipped_bits() == b.flipped_bits() && b.flipped_bits() == c.flipped_bits() {
         return Ok(a);
     }
-    registry.counter(CTR_READ_DISAGREEMENTS).inc();
-    registry.trace(
+    mc.counter(CTR_READ_DISAGREEMENTS).inc();
+    mc.registry().trace(
         obs::TraceKind::Recovery,
         mc.now().as_ns(),
         u32::from(bank.index()),
@@ -95,15 +94,14 @@ fn read_row_voted_wide(
     for _ in 0..width {
         samples.push(mc.read_row(bank, row)?);
     }
-    let registry = std::sync::Arc::clone(mc.registry());
-    registry.counter(CTR_VOTED_READS).inc();
+    mc.counter(CTR_VOTED_READS).inc();
     let unanimous = samples.windows(2).all(|pair| pair[0].flipped_bits() == pair[1].flipped_bits());
     crate::recovery::note_vote(mc, bank, row, !unanimous);
     if unanimous {
         return Ok(samples.swap_remove(0));
     }
-    registry.counter(CTR_READ_DISAGREEMENTS).inc();
-    registry.trace(
+    mc.counter(CTR_READ_DISAGREEMENTS).inc();
+    mc.registry().trace(
         obs::TraceKind::Recovery,
         mc.now().as_ns(),
         u32::from(bank.index()),
@@ -149,7 +147,6 @@ pub fn write_row_checked(
         mc.write_row(bank, row, pattern.clone())?;
         return Ok(true);
     }
-    let registry = std::sync::Arc::clone(mc.registry());
     for attempt in 0..WRITE_ATTEMPTS {
         mc.write_row(bank, row, pattern.clone())?;
         let back = read_row_voted(mc, bank, row)?;
@@ -157,8 +154,8 @@ pub fn write_row_checked(
             return Ok(true);
         }
         if attempt + 1 < WRITE_ATTEMPTS {
-            registry.counter(CTR_WRITE_RETRIES).inc();
-            registry.trace(
+            mc.counter(CTR_WRITE_RETRIES).inc();
+            mc.registry().trace(
                 obs::TraceKind::Recovery,
                 mc.now().as_ns(),
                 u32::from(bank.index()),
@@ -168,8 +165,8 @@ pub fn write_row_checked(
             );
         }
     }
-    registry.counter(CTR_WRITE_GIVEUPS).inc();
-    registry.trace(
+    mc.counter(CTR_WRITE_GIVEUPS).inc();
+    mc.registry().trace(
         obs::TraceKind::Recovery,
         mc.now().as_ns(),
         u32::from(bank.index()),

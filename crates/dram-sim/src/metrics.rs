@@ -1,15 +1,27 @@
 //! The device's bridge into the workspace [`obs`] instrumentation layer.
 //!
-//! Every [`crate::Module`] owns a [`DeviceMetrics`]: pre-resolved counter
-//! and histogram handles into a [`MetricsRegistry`], so the per-command
-//! hot path touches only relaxed atomics — no name lookups, no locks.
-//! Modules start with a private registry (keeping unit tests isolated);
-//! callers that want one artifact per run attach a shared registry via
+//! Every [`crate::Module`] owns a [`DeviceMetrics`]: one owned
+//! [`Tally`] per `dram.*` counter, resolved once against a
+//! [`MetricsRegistry`], so the per-command hot path increments plain
+//! fields — no atomics, no name lookups, no locks. Modules start with a
+//! private registry (keeping unit tests isolated); callers that want one
+//! artifact per run attach a shared registry via
 //! [`crate::Module::attach_registry`].
+//!
+//! # Publish-on-drop
+//!
+//! A device publishes its counts into the registry when it is dropped,
+//! or when its owner calls [`crate::Module::flush_metrics`]; until then
+//! the registry's `dram.*` counters do not include them. Totals are
+//! sums, so a registry shared by many workers reads the same totals at
+//! any thread count, and workers never contend on a counter's cache
+//! line. Code that needs a device's own counts while it runs reads
+//! [`crate::Module::stats`], which never depends on other devices
+//! sharing the registry.
 
 use std::sync::Arc;
 
-use obs::{Counter, Histogram, MetricsRegistry, TraceKind};
+use obs::{MetricsRegistry, Tally, TraceKind};
 
 use crate::stats::ModuleStats;
 
@@ -32,74 +44,53 @@ pub const CTR_TRR_DETECTIONS: &str = "dram.trr.detections";
 /// Counter name for materialized bit flips.
 pub const CTR_BIT_FLIPS: &str = "dram.bit_flips";
 
-/// Histogram name for per-`ACT` latency, in nanoseconds.
-pub const HIST_ACT_NS: &str = "dram.latency.act_ns";
-/// Histogram name for per-`PRE` latency, in nanoseconds.
-pub const HIST_PRE_NS: &str = "dram.latency.pre_ns";
-/// Histogram name for per-`REF` latency, in nanoseconds.
-pub const HIST_REF_NS: &str = "dram.latency.ref_ns";
-/// Histogram name for full-row read latency, in nanoseconds.
-pub const HIST_READ_NS: &str = "dram.latency.read_ns";
-/// Histogram name for full-row write latency, in nanoseconds.
-pub const HIST_WRITE_NS: &str = "dram.latency.write_ns";
-
 /// Event kind emitted when a restore materializes bit flips.
 pub const EVT_BIT_FLIP: &str = "dram.bit_flip";
 /// Event kind emitted per TRR detection acted on.
 pub const EVT_TRR_DETECTION: &str = "dram.trr.detection";
 
-/// Pre-resolved instrument handles for one device.
-#[derive(Debug, Clone)]
+/// One device's owned counts and its registry (see the
+/// [module docs](self) for when the registry sees the counts).
+#[derive(Debug)]
 pub struct DeviceMetrics {
     registry: Arc<MetricsRegistry>,
     /// `ACT` count (see [`CTR_ACT`]).
-    pub act: Counter,
+    pub act: Tally,
     /// `PRE` count (see [`CTR_PRE`]).
-    pub pre: Counter,
+    pub pre: Tally,
     /// `REF` count (see [`CTR_REF`]).
-    pub refresh: Counter,
+    pub refresh: Tally,
     /// Row-read count (see [`CTR_ROW_READS`]).
-    pub row_reads: Counter,
+    pub row_reads: Tally,
     /// Row-write count (see [`CTR_ROW_WRITES`]).
-    pub row_writes: Counter,
+    pub row_writes: Tally,
     /// Regular-refresh restore count (see [`CTR_REGULAR_ROW_REFRESHES`]).
-    pub regular_row_refreshes: Counter,
+    pub regular_row_refreshes: Tally,
     /// TRR-induced restore count (see [`CTR_TRR_ROW_REFRESHES`]).
-    pub trr_row_refreshes: Counter,
+    pub trr_row_refreshes: Tally,
     /// TRR detection count (see [`CTR_TRR_DETECTIONS`]).
-    pub trr_detections: Counter,
+    pub trr_detections: Tally,
     /// Bit-flip count (see [`CTR_BIT_FLIPS`]).
-    pub bit_flips: Counter,
-    /// `ACT` latency (see [`HIST_ACT_NS`]).
-    pub act_ns: Histogram,
-    /// `PRE` latency (see [`HIST_PRE_NS`]).
-    pub pre_ns: Histogram,
-    /// `REF` latency (see [`HIST_REF_NS`]).
-    pub ref_ns: Histogram,
-    /// Row-read latency (see [`HIST_READ_NS`]).
-    pub read_ns: Histogram,
-    /// Row-write latency (see [`HIST_WRITE_NS`]).
-    pub write_ns: Histogram,
+    pub bit_flips: Tally,
+    /// This device's events that overflowed the registry's full event
+    /// buffer.
+    events_dropped: Tally,
 }
 
 impl DeviceMetrics {
-    /// Resolves all handles against `registry`.
+    /// Resolves all tallies against `registry`.
     pub fn new(registry: Arc<MetricsRegistry>) -> Self {
         DeviceMetrics {
-            act: registry.counter(CTR_ACT),
-            pre: registry.counter(CTR_PRE),
-            refresh: registry.counter(CTR_REF),
-            row_reads: registry.counter(CTR_ROW_READS),
-            row_writes: registry.counter(CTR_ROW_WRITES),
-            regular_row_refreshes: registry.counter(CTR_REGULAR_ROW_REFRESHES),
-            trr_row_refreshes: registry.counter(CTR_TRR_ROW_REFRESHES),
-            trr_detections: registry.counter(CTR_TRR_DETECTIONS),
-            bit_flips: registry.counter(CTR_BIT_FLIPS),
-            act_ns: registry.histogram(HIST_ACT_NS),
-            pre_ns: registry.histogram(HIST_PRE_NS),
-            ref_ns: registry.histogram(HIST_REF_NS),
-            read_ns: registry.histogram(HIST_READ_NS),
-            write_ns: registry.histogram(HIST_WRITE_NS),
+            act: registry.tally(CTR_ACT),
+            pre: registry.tally(CTR_PRE),
+            refresh: registry.tally(CTR_REF),
+            row_reads: registry.tally(CTR_ROW_READS),
+            row_writes: registry.tally(CTR_ROW_WRITES),
+            regular_row_refreshes: registry.tally(CTR_REGULAR_ROW_REFRESHES),
+            trr_row_refreshes: registry.tally(CTR_TRR_ROW_REFRESHES),
+            trr_detections: registry.tally(CTR_TRR_DETECTIONS),
+            bit_flips: registry.tally(CTR_BIT_FLIPS),
+            events_dropped: Tally::new(registry.events_dropped_counter()),
             registry,
         }
     }
@@ -115,17 +106,33 @@ impl DeviceMetrics {
         &self.registry
     }
 
-    /// Whether detail instrumentation (latency histograms, events) is
-    /// being recorded.
-    #[inline]
-    pub fn detail(&self) -> bool {
-        self.registry.detail_enabled()
+    /// Publishes every count accrued since the last flush into the
+    /// registry. Dropping the metrics does the same.
+    pub fn flush(&mut self) {
+        for tally in [
+            &mut self.act,
+            &mut self.pre,
+            &mut self.refresh,
+            &mut self.row_reads,
+            &mut self.row_writes,
+            &mut self.regular_row_refreshes,
+            &mut self.trr_row_refreshes,
+            &mut self.trr_detections,
+            &mut self.bit_flips,
+            &mut self.events_dropped,
+        ] {
+            tally.flush();
+        }
     }
 
-    /// Records an event (no-op unless detail is enabled).
+    /// Records an event (no-op unless the registry's detail is on); an
+    /// event the full buffer cannot hold is counted as this device's
+    /// drop.
     #[inline]
-    pub fn event(&self, kind: &str, t_sim: u64, fields: &[(&str, u64)]) {
-        self.registry.event(kind, t_sim, fields);
+    pub fn event(&mut self, kind: &'static str, t_sim: u64, fields: &[(&'static str, u64)]) {
+        if !self.registry.try_event(kind, t_sim, fields) {
+            self.events_dropped.inc();
+        }
     }
 
     /// Whether a flight recorder is attached (one relaxed load).
@@ -149,7 +156,7 @@ impl DeviceMetrics {
         self.registry.trace(kind, t_sim, bank, row, fields, detail)
     }
 
-    /// The classic [`ModuleStats`] view over this device's counters.
+    /// The classic [`ModuleStats`] view over this device's own counts.
     pub fn stats_view(&self) -> ModuleStats {
         ModuleStats {
             activations: self.act.get(),
@@ -169,26 +176,33 @@ mod tests {
     use super::*;
 
     #[test]
-    fn stats_view_reads_the_registry() {
+    fn stats_view_reads_own_counts_and_drop_publishes_them() {
         let registry = Arc::new(MetricsRegistry::new());
-        let metrics = DeviceMetrics::new(Arc::clone(&registry));
+        let mut metrics = DeviceMetrics::new(Arc::clone(&registry));
         metrics.act.add(11);
         metrics.bit_flips.add(3);
         let stats = metrics.stats_view();
         assert_eq!(stats.activations, 11);
         assert_eq!(stats.bit_flips, 3);
         assert_eq!(stats.refreshes, 0);
+        drop(metrics);
         assert_eq!(registry.counter(CTR_ACT).get(), 11);
+        assert_eq!(registry.counter(CTR_BIT_FLIPS).get(), 3);
     }
 
     #[test]
     fn two_devices_can_share_one_registry() {
         let registry = Arc::new(MetricsRegistry::new());
-        let a = DeviceMetrics::new(Arc::clone(&registry));
-        let b = DeviceMetrics::new(Arc::clone(&registry));
+        let mut a = DeviceMetrics::new(Arc::clone(&registry));
+        let mut b = DeviceMetrics::new(Arc::clone(&registry));
         a.act.add(2);
         b.act.add(3);
-        assert_eq!(a.stats_view().activations, 5);
-        assert_eq!(b.stats_view().activations, 5);
+        assert_eq!(a.stats_view().activations, 2, "a device sees only its own ACTs");
+        assert_eq!(b.stats_view().activations, 3);
+        a.flush();
+        b.flush();
+        assert_eq!(registry.counter(CTR_ACT).get(), 5);
+        drop((a, b));
+        assert_eq!(registry.counter(CTR_ACT).get(), 5, "a drop after a flush adds nothing");
     }
 }

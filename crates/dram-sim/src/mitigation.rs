@@ -135,9 +135,15 @@ pub trait MitigationEngine: fmt::Debug {
     /// Hands the engine the metrics registry of the device it protects,
     /// called on construction and whenever a new registry is attached
     /// ([`crate::Module::attach_registry`]). Engines that want to expose
-    /// internal counters (table evictions, sampler hits, …) register
-    /// them here; the default keeps engines metrics-free.
+    /// internal counters (table evictions, sampler hits, …) resolve
+    /// them here as owned [`obs::Tally`]s, which publish on drop and on
+    /// [`MitigationEngine::flush_metrics`]; the default keeps engines
+    /// metrics-free.
     fn attach_metrics(&mut self, _registry: &std::sync::Arc<obs::MetricsRegistry>) {}
+
+    /// Publishes the engine's counts into its registry now (see
+    /// [`crate::Module::flush_metrics`]).
+    fn flush_metrics(&mut self) {}
 
     /// Clears all internal state (counter tables, sample registers,
     /// activation windows) back to power-on.

@@ -248,11 +248,24 @@ impl Module {
 
     /// Points this device (and its mitigation engine) at `registry`, so
     /// several devices — or a whole run — share one artifact. Call right
-    /// after construction: counts already accumulated in the previous
-    /// (private) registry are not migrated.
+    /// after construction: counts accumulated before the call go to the
+    /// previous (private) registry and [`Module::stats`] restarts at
+    /// zero.
+    ///
+    /// The device publishes its counts into `registry` when it is
+    /// dropped or on [`Module::flush_metrics`], not per command (see
+    /// [`crate::metrics`]).
     pub fn attach_registry(&mut self, registry: Arc<MetricsRegistry>) {
         self.metrics = DeviceMetrics::new(registry);
         self.engine.attach_metrics(self.metrics.registry());
+    }
+
+    /// Publishes this device's and its mitigation engine's counts into
+    /// the registry now, for readers that inspect the registry while
+    /// the device is still alive. Dropping the device does the same.
+    pub fn flush_metrics(&mut self) {
+        self.metrics.flush();
+        self.engine.flush_metrics();
     }
 
     /// The metrics registry this device reports into.
@@ -280,8 +293,8 @@ impl Module {
         self.config.timings
     }
 
-    /// Cumulative statistics (a snapshot view over the metrics
-    /// registry's `dram.*` counters).
+    /// Cumulative statistics of this device's own commands, whatever
+    /// else shares its registry.
     pub fn stats(&self) -> ModuleStats {
         self.metrics.stats_view()
     }
@@ -368,9 +381,6 @@ impl Module {
         b.open = Some((row, phys));
         b.last_act = Some(phys);
         self.metrics.act.inc();
-        if self.metrics.detail() {
-            self.metrics.act_ns.record(self.config.timings.t_ras.as_ns());
-        }
         self.metrics.trace(
             TraceKind::Act,
             self.now.as_ns(),
@@ -397,9 +407,6 @@ impl Module {
         }
         b.open = None;
         self.metrics.pre.inc();
-        if self.metrics.detail() {
-            self.metrics.pre_ns.record(self.config.timings.t_rp.as_ns());
-        }
         self.now += self.config.timings.t_rp;
         Ok(())
     }
@@ -418,9 +425,6 @@ impl Module {
         state.last_restore = now;
         state.disturbance = 0.0;
         self.metrics.row_writes.inc();
-        if self.metrics.detail() {
-            self.metrics.write_ns.record(ROW_IO.as_ns());
-        }
         self.now += ROW_IO;
         Ok(())
     }
@@ -444,9 +448,6 @@ impl Module {
             None => RowReadout::new(logical, DataPattern::Zeros, Vec::new(), row_bits),
         };
         self.metrics.row_reads.inc();
-        if self.metrics.detail() {
-            self.metrics.read_ns.record(ROW_IO.as_ns());
-        }
         self.now += ROW_IO;
         Ok(readout)
     }
@@ -506,10 +507,6 @@ impl Module {
         self.apply_inline_detections();
         self.banks[bank.index() as usize].last_act = Some(phys);
         self.metrics.act.add(count);
-        if self.metrics.detail() {
-            // One O(1) update for the whole batch.
-            self.metrics.act_ns.record_n(self.config.timings.t_rc().as_ns(), count);
-        }
         self.metrics.trace(
             TraceKind::Act,
             self.now.as_ns(),
@@ -618,9 +615,6 @@ impl Module {
         self.apply_inline_detections();
         self.banks[bank_idx].last_act = Some(p2);
         self.metrics.act.add(2 * pairs);
-        if self.metrics.detail() {
-            self.metrics.act_ns.record_n(self.config.timings.t_rc().as_ns(), 2 * pairs);
-        }
         if self.metrics.tracing() {
             let t = self.now.as_ns();
             let b = bank.index() as u32;
@@ -657,14 +651,6 @@ impl Module {
     /// identical to the full-window probe retained in
     /// [`Module::refresh_naive`].
     pub fn refresh(&mut self) {
-        self.refresh_impl(true);
-    }
-
-    /// [`Module::refresh`] with per-`REF` counter/histogram recording
-    /// optionally deferred — the burst path accounts a whole burst with
-    /// one counter add and one histogram record instead of paying the
-    /// shared-registry atomics `count` times.
-    fn refresh_impl(&mut self, record_metrics: bool) {
         let (start, end) = self.refresh_window();
         // Scaled-down geometries have more REFs per period than rows per
         // bank, so most windows are empty — skip the bank scan outright.
@@ -696,11 +682,9 @@ impl Module {
                     word_idx += 1;
                 }
             }
-            if restored > 0 {
-                self.metrics.regular_row_refreshes.add(restored);
-            }
+            self.metrics.regular_row_refreshes.add(restored);
         }
-        self.complete_refresh(start, end, record_metrics);
+        self.complete_refresh(start, end);
     }
 
     /// Reference implementation of [`Module::refresh`] that probes every
@@ -721,7 +705,7 @@ impl Module {
                 }
             }
         }
-        self.complete_refresh(start, end, true);
+        self.complete_refresh(start, end);
     }
 
     /// The physical row window `[start, end)` the next `REF` restores in
@@ -741,7 +725,7 @@ impl Module {
 
     /// Shared `REF` tail: TRR piggyback detections, counters, tracing,
     /// and timing. `start..end` is the physical window the sweep covered.
-    fn complete_refresh(&mut self, start: u64, end: u64, record_metrics: bool) {
+    fn complete_refresh(&mut self, start: u64, end: u64) {
         let mut detections = std::mem::take(&mut self.detect_buf);
         detections.clear();
         self.engine.on_refresh(self.now, &mut detections);
@@ -750,12 +734,7 @@ impl Module {
         let k = self.ref_count;
         self.ref_count += 1;
         self.ref_window.step();
-        if record_metrics {
-            self.metrics.refresh.inc();
-            if self.metrics.detail() {
-                self.metrics.ref_ns.record(self.config.timings.t_rfc.as_ns());
-            }
-        }
+        self.metrics.refresh.inc();
         if self.metrics.tracing() {
             // Pre-gate on the tracked row set: a full tREFW is ~8k REFs,
             // and only the handful whose round-robin window sweeps past
@@ -788,14 +767,8 @@ impl Module {
         }
         let idle = self.config.timings.t_refi.saturating_sub(self.config.timings.t_rfc);
         for _ in 0..count {
-            self.refresh_impl(false);
+            self.refresh();
             self.advance(idle);
-        }
-        // One counter add and one histogram record for the whole burst —
-        // identical totals, none of the per-`REF` shared-atomic traffic.
-        self.metrics.refresh.add(count);
-        if self.metrics.detail() {
-            self.metrics.ref_ns.record_n(self.config.timings.t_rfc.as_ns(), count);
         }
     }
 
@@ -975,8 +948,7 @@ impl Module {
     fn apply_detections(&mut self, detections: &[TrrDetection]) {
         if detections.is_empty() {
             // Nearly every ACT and REF lands here: engines detect on a
-            // tiny fraction of commands, and a zero-length add is still
-            // an atomic RMW per command if not skipped.
+            // tiny fraction of commands.
             return;
         }
         self.metrics.trr_detections.add(detections.len() as u64);

@@ -4,11 +4,10 @@
 /// [`crate::Module`]'s lifetime. Useful for asserting experiment cost
 /// envelopes and for the benchmark harness.
 ///
-/// Since the observability refactor this is a *view*: the live counts
-/// are named counters in the module's [`obs::MetricsRegistry`] (see
-/// [`crate::metrics`]), and [`crate::Module::stats`] materializes them
-/// into this struct. When several modules share one registry the view
-/// aggregates across all of them.
+/// This is a view of the device's own tallies (see [`crate::metrics`]),
+/// which [`crate::Module::stats`] materializes into this struct. It
+/// counts this device's commands only, even when several modules share
+/// one registry.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ModuleStats {
     /// Total row activations (batched hammers count individually).

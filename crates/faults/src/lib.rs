@@ -29,7 +29,7 @@ use std::sync::Arc;
 
 use dram_sim::rng::SplitMix64;
 use dram_sim::{Bank, DataPattern, Module, Nanos, RowAddr, RowReadout};
-use obs::MetricsRegistry;
+use obs::{Counter, MetricsRegistry};
 use softmc::{FaultInjector, MemoryController, WriteFault};
 
 /// Counter: total faults injected, across all kinds.
@@ -287,6 +287,31 @@ pub struct FaultPlan {
     burst_until: Option<Nanos>,
     tally: FaultTally,
     registry: Option<Arc<MetricsRegistry>>,
+    counters: Option<FaultCounters>,
+}
+
+/// The `faults.injected.*` counters, resolved once when a registry is
+/// attached.
+struct FaultCounters {
+    total: Counter,
+    read_flips: Counter,
+    stuck_reads: Counter,
+    dropped_writes: Counter,
+    garbled_writes: Counter,
+    vrt_bursts: Counter,
+}
+
+impl FaultCounters {
+    fn new(registry: &MetricsRegistry) -> Self {
+        FaultCounters {
+            total: registry.counter(CTR_INJECTED_TOTAL),
+            read_flips: registry.counter(CTR_READ_FLIPS),
+            stuck_reads: registry.counter(CTR_STUCK_READS),
+            dropped_writes: registry.counter(CTR_DROPPED_WRITES),
+            garbled_writes: registry.counter(CTR_GARBLED_WRITES),
+            vrt_bursts: registry.counter(CTR_VRT_BURSTS),
+        }
+    }
 }
 
 impl fmt::Debug for FaultPlan {
@@ -308,6 +333,7 @@ impl FaultPlan {
             burst_until: None,
             tally: FaultTally::default(),
             registry: None,
+            counters: None,
         }
     }
 
@@ -324,6 +350,7 @@ impl FaultPlan {
     /// Reports injected-fault counts into `registry` (as
     /// `faults.injected.*` counters) from now on.
     pub fn attach_metrics(&mut self, registry: Arc<MetricsRegistry>) {
+        self.counters = Some(FaultCounters::new(&registry));
         self.registry = Some(registry);
     }
 
@@ -337,10 +364,10 @@ impl FaultPlan {
         self.tally
     }
 
-    fn bump(&mut self, name: &str) {
-        if let Some(registry) = &self.registry {
-            registry.counter(name).inc();
-            registry.counter(CTR_INJECTED_TOTAL).inc();
+    fn bump(&self, kind: fn(&FaultCounters) -> &Counter) {
+        if let Some(counters) = &self.counters {
+            kind(counters).inc();
+            counters.total.inc();
         }
     }
 
@@ -383,7 +410,7 @@ impl FaultInjector for FaultPlan {
         if self.rng.next_bool(self.cfg.stuck_read_prob) {
             readout.clear_flips();
             self.tally.stuck_reads += 1;
-            self.bump(CTR_STUCK_READS);
+            self.bump(|c| &c.stuck_reads);
             self.trace_injected("stuck_read", bank, Some(row), now);
             return;
         }
@@ -394,7 +421,7 @@ impl FaultInjector for FaultPlan {
                 readout.inject_flip(bit);
             }
             self.tally.read_flips += 1;
-            self.bump(CTR_READ_FLIPS);
+            self.bump(|c| &c.read_flips);
             self.trace_injected("read_flip", bank, Some(row), now);
         }
     }
@@ -408,13 +435,13 @@ impl FaultInjector for FaultPlan {
     ) -> WriteFault {
         if self.rng.next_bool(self.cfg.dropped_write_prob) {
             self.tally.dropped_writes += 1;
-            self.bump(CTR_DROPPED_WRITES);
+            self.bump(|c| &c.dropped_writes);
             self.trace_injected("dropped_write", bank, Some(row), now);
             return WriteFault::Dropped;
         }
         if self.rng.next_bool(self.cfg.garbled_write_prob) {
             self.tally.garbled_writes += 1;
-            self.bump(CTR_GARBLED_WRITES);
+            self.bump(|c| &c.garbled_writes);
             self.trace_injected("garbled_write", bank, Some(row), now);
             return WriteFault::Garbled(Self::garble_pattern(pattern));
         }
@@ -442,7 +469,7 @@ impl FaultInjector for FaultPlan {
                     self.burst_until = Some(now + self.cfg.vrt_burst_duration);
                     module.set_vrt_switch_override(Some(self.cfg.vrt_burst_switch_prob));
                     self.tally.vrt_bursts += 1;
-                    self.bump(CTR_VRT_BURSTS);
+                    self.bump(|c| &c.vrt_bursts);
                     self.trace_injected("vrt_burst", Bank::new(0), None, now);
                 }
             }

@@ -7,7 +7,7 @@
 //! {"type":"meta","schema":"utrr-obs/1","spans_evicted":0,"events_dropped":0}
 //! {"type":"counter","name":"dram.cmd.act","value":5000}
 //! {"type":"gauge","name":"scout.groups_live","value":4}
-//! {"type":"histogram","name":"dram.latency.act_ns","count":…,"sum":…,
+//! {"type":"histogram","name":"par.task_ns","count":…,"sum":…,
 //!  "min":…,"max":…,"mean":…,"p50":…,"p90":…,"p99":…,"bins":[[lower,count],…]}
 //! {"type":"span","id":3,"parent":2,"depth":1,"name":"trr_analyzer.round",
 //!  "wall_ns":…,"sim_start_ns":…,"sim_end_ns":…,"fields":{"round":4}}
@@ -69,8 +69,8 @@ pub fn write_jsonl(registry: &MetricsRegistry, out: &mut impl Write) -> io::Resu
             out,
             "{{\"type\":\"event\",\"t_sim_ns\":{},\"kind\":{},\"fields\":{}}}",
             event.t_sim,
-            quote(&event.kind),
-            fields_object(&event.fields),
+            quote(event.kind),
+            fields_object(event.fields()),
         )?;
     }
     Ok(())
@@ -119,13 +119,13 @@ fn histogram_line(name: &str, snapshot: &HistogramSnapshot) -> String {
     line
 }
 
-fn fields_object(fields: &[(String, u64)]) -> String {
+fn fields_object<K: AsRef<str>>(fields: &[(K, u64)]) -> String {
     let mut object = String::from("{");
     for (i, (key, value)) in fields.iter().enumerate() {
         if i > 0 {
             object.push(',');
         }
-        let _ = write!(object, "{}:{value}", quote(key));
+        let _ = write!(object, "{}:{value}", quote(key.as_ref()));
     }
     object.push('}');
     object

@@ -5,9 +5,12 @@
 //! into one [`MetricsRegistry`]:
 //!
 //! - **Counters and gauges** ([`Counter`], [`Gauge`]): named atomic
-//!   cells. Handles are `Arc`-backed and lock-free on the hot path, so
-//!   parallel sweeps can share one registry; the registry lock is taken
-//!   only at registration time.
+//!   cells. Handles are `Arc`-backed and lock-free; the registry lock
+//!   is taken only at registration time.
+//! - **Tallies** ([`Tally`]): owned, non-atomic counts that publish
+//!   into a registry counter on flush or drop. Per-command hot paths
+//!   count in tallies, so workers sharing one registry never contend
+//!   on a counter's cache line.
 //! - **Histograms** ([`Histogram`]): log₂-binned distributions with
 //!   count/sum/min/max and quantile estimates accurate to one bin.
 //! - **Spans** ([`SpanGuard`], [`span!`]): hierarchical timed regions
@@ -37,7 +40,7 @@ pub mod trace;
 
 pub use metrics::{
     bin_index, bin_lower_bound, bin_upper_bound, Counter, EventRecord, Gauge, Histogram,
-    HistogramSnapshot, MetricsRegistry, BIN_COUNT,
+    HistogramSnapshot, MetricsRegistry, Tally, BIN_COUNT,
 };
 pub use span::{SpanGuard, SpanRecord};
 pub use trace::{

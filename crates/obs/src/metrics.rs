@@ -1,9 +1,13 @@
 //! Named counters, gauges, log₂-binned histograms, and events.
 //!
 //! Handles returned by the registry are cheap `Arc` clones over atomic
-//! cells: the hot path (a simulator command) touches only relaxed
-//! atomics, never the registry lock, so parallel sweeps can hammer one
-//! shared registry without contention.
+//! cells, so no handle takes the registry lock after it is resolved.
+//! Lock-free is not contention-free: every worker that bumps the same
+//! shared [`Counter`] fights over one cache line, and on a per-command
+//! hot path that costs more than a second worker gains. Hot paths
+//! therefore count in an owned [`Tally`] — a plain `u64` field — and
+//! publish the total into the shared counter once, on
+//! [`Tally::flush`] or drop.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -76,6 +80,65 @@ impl Counter {
     #[inline]
     pub fn get(&self) -> u64 {
         self.cell.load(Ordering::Relaxed)
+    }
+}
+
+/// An owned, single-writer count that publishes into a registry
+/// [`Counter`].
+///
+/// A `Tally` counts in a plain field: incrementing it touches no
+/// atomic and no shared cache line. [`Tally::flush`], and dropping the
+/// tally, add the count accrued since the last publish to the counter
+/// it was resolved from. Counter totals are sums, and sums do not
+/// depend on the order the owners publish in, so a registry shared by
+/// many workers reads the same totals at any thread count. Until its
+/// owner flushes or drops it, the registry does not see the count.
+///
+/// A default `Tally` publishes into a detached counter nobody reads.
+#[derive(Debug, Default)]
+pub struct Tally {
+    target: Counter,
+    total: u64,
+    published: u64,
+}
+
+impl Tally {
+    /// A zero tally publishing into `target`.
+    pub fn new(target: Counter) -> Self {
+        Tally { target, total: 0, published: 0 }
+    }
+
+    /// Adds one.
+    #[inline]
+    pub fn inc(&mut self) {
+        self.total += 1;
+    }
+
+    /// Adds `n`.
+    #[inline]
+    pub fn add(&mut self, n: u64) {
+        self.total += n;
+    }
+
+    /// Everything this tally has counted, published or not.
+    #[inline]
+    pub fn get(&self) -> u64 {
+        self.total
+    }
+
+    /// Publishes the count accrued since the last publish.
+    pub fn flush(&mut self) {
+        let delta = self.total - self.published;
+        if delta > 0 {
+            self.target.add(delta);
+            self.published = self.total;
+        }
+    }
+}
+
+impl Drop for Tally {
+    fn drop(&mut self) {
+        self.flush();
     }
 }
 
@@ -252,32 +315,42 @@ impl HistogramSnapshot {
     }
 }
 
+/// Most coordinate fields an [`EventRecord`] carries inline.
+pub const EVENT_FIELDS: usize = 3;
+
 /// A rare, high-value moment: a bit flip, a TRR detection. Timestamped
-/// in simulated nanoseconds with integer coordinate fields.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// in simulated nanoseconds with up to [`EVENT_FIELDS`] integer
+/// coordinate fields. Fixed-size and `Copy`: buffering one allocates
+/// nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EventRecord {
     /// Simulated time of the event, in nanoseconds.
     pub t_sim: u64,
     /// Event kind, dotted-path style (`"dram.bit_flip"`).
-    pub kind: String,
+    pub kind: &'static str,
+    fields: [(&'static str, u64); EVENT_FIELDS],
+    len: u8,
+}
+
+impl EventRecord {
+    /// An event with the first [`EVENT_FIELDS`] of `fields`.
+    pub(crate) fn new(kind: &'static str, t_sim: u64, fields: &[(&'static str, u64)]) -> Self {
+        debug_assert!(fields.len() <= EVENT_FIELDS, "event {kind} has too many fields");
+        let len = fields.len().min(EVENT_FIELDS);
+        let mut inline = [("", 0); EVENT_FIELDS];
+        inline[..len].copy_from_slice(&fields[..len]);
+        EventRecord { t_sim, kind, fields: inline, len: len as u8 }
+    }
+
     /// Coordinates and attributes (`("bank", 1), ("row", 4242)`, …).
-    pub fields: Vec<(String, u64)>,
+    pub fn fields(&self) -> &[(&'static str, u64)] {
+        &self.fields[..usize::from(self.len)]
+    }
 }
 
 #[derive(Debug, Default)]
 struct EventBuffer {
     events: Vec<EventRecord>,
-    dropped: u64,
-}
-
-/// Relaxed mirror of the event buffer's fill level, maintained under
-/// the buffer lock. Lets `event()` skip the mutex entirely once the
-/// buffer is full — a long run emits far more events than the capacity
-/// holds, and the overflow path must not serialize worker threads.
-#[derive(Debug, Default)]
-struct EventGate {
-    full: AtomicBool,
-    dropped: AtomicU64,
 }
 
 /// The central sink all layers report into.
@@ -292,7 +365,14 @@ pub struct MetricsRegistry {
     gauges: Mutex<BTreeMap<String, Gauge>>,
     histograms: Mutex<BTreeMap<String, Histogram>>,
     events: Mutex<EventBuffer>,
-    event_gate: EventGate,
+    /// Relaxed mirror of the event buffer's fill level, maintained under
+    /// the buffer lock, so that `event()` skips the mutex once the
+    /// buffer is full.
+    events_full: AtomicBool,
+    /// Events that overflowed the full buffer. Its own allocation, off
+    /// the cache line of the flags every command reads; devices count
+    /// their drops in a [`Tally`] over it.
+    events_dropped: Counter,
     spans: SpanCollector,
     detail: AtomicBool,
     recorder: OnceLock<Arc<FlightRecorder>>,
@@ -300,12 +380,12 @@ pub struct MetricsRegistry {
 }
 
 impl MetricsRegistry {
-    /// An empty registry with detail recording **off**.
+    /// An empty registry with event recording **off**.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// An empty shared registry with detail recording **on** — the
+    /// An empty shared registry with event recording **on** — the
     /// constructor run artifacts use.
     pub fn shared() -> Arc<Self> {
         let registry = Self::new();
@@ -313,17 +393,15 @@ impl MetricsRegistry {
         Arc::new(registry)
     }
 
-    /// Whether detail instrumentation (histograms, events) should be
-    /// recorded. Counters and spans are always live; hot paths consult
-    /// this flag before histogram/event work so that metrics stay
-    /// within the ≤5 % command-path overhead budget when detail is not
-    /// wanted.
+    /// Whether events should be recorded. Counters, gauges, histograms
+    /// and spans are always live; [`Self::event`] consults this flag
+    /// first, so a detail-off registry stores no events.
     #[inline]
     pub fn detail_enabled(&self) -> bool {
         self.detail.load(Ordering::Relaxed)
     }
 
-    /// Turns detail instrumentation on or off.
+    /// Turns event recording on or off.
     pub fn set_detail(&self, enabled: bool) {
         self.detail.store(enabled, Ordering::Relaxed);
     }
@@ -333,7 +411,17 @@ impl MetricsRegistry {
     /// re-looking it up in a loop.
     pub fn counter(&self, name: &str) -> Counter {
         let mut map = self.counters.lock().unwrap();
+        if let Some(counter) = map.get(name) {
+            return counter.clone();
+        }
         map.entry(name.to_string()).or_default().clone()
+    }
+
+    /// An owned [`Tally`] publishing into the counter `name` (created
+    /// at zero on first use, so it lists in snapshots before the first
+    /// publish).
+    pub fn tally(&self, name: &str) -> Tally {
+        Tally::new(self.counter(name))
     }
 
     /// The gauge registered under `name` (see [`Self::counter`]).
@@ -350,31 +438,45 @@ impl MetricsRegistry {
 
     /// Records an event if detail is enabled and the buffer has room;
     /// overflow is tallied, not stored.
-    pub fn event(&self, kind: &str, t_sim: u64, fields: &[(&str, u64)]) {
-        if !self.detail_enabled() {
-            return;
+    pub fn event(&self, kind: &'static str, t_sim: u64, fields: &[(&'static str, u64)]) {
+        if !self.try_event(kind, t_sim, fields) {
+            self.events_dropped.inc();
         }
-        // Once the buffer has filled, every further event is a drop —
-        // tally it on the lock-free gate instead of serializing the
-        // worker threads on the buffer mutex.
-        if self.event_gate.full.load(Ordering::Relaxed) {
-            self.event_gate.dropped.fetch_add(1, Ordering::Relaxed);
-            return;
+    }
+
+    /// [`Self::event`] without the drop tally: returns `false` when the
+    /// event overflowed the full buffer, leaving the caller to count the
+    /// drop (see [`Self::events_dropped_counter`]). Returns `true` when
+    /// the event was stored or detail is off.
+    #[inline]
+    pub fn try_event(
+        &self,
+        kind: &'static str,
+        t_sim: u64,
+        fields: &[(&'static str, u64)],
+    ) -> bool {
+        if !self.detail_enabled() {
+            return true;
+        }
+        if self.events_full.load(Ordering::Relaxed) {
+            return false;
         }
         let mut buffer = self.events.lock().unwrap();
         if buffer.events.len() >= EVENT_CAPACITY {
-            self.event_gate.full.store(true, Ordering::Relaxed);
-            buffer.dropped += 1;
-            return;
+            self.events_full.store(true, Ordering::Relaxed);
+            return false;
         }
-        buffer.events.push(EventRecord {
-            t_sim,
-            kind: kind.to_string(),
-            fields: fields.iter().map(|(k, v)| (k.to_string(), *v)).collect(),
-        });
+        buffer.events.push(EventRecord::new(kind, t_sim, fields));
         if buffer.events.len() >= EVENT_CAPACITY {
-            self.event_gate.full.store(true, Ordering::Relaxed);
+            self.events_full.store(true, Ordering::Relaxed);
         }
+        true
+    }
+
+    /// The counter of events that overflowed the buffer, for callers
+    /// that tally their drops from [`Self::try_event`].
+    pub fn events_dropped_counter(&self) -> Counter {
+        self.events_dropped.clone()
     }
 
     /// Installs a flight recorder and arms the tracing fast-gate.
@@ -469,7 +571,7 @@ impl MetricsRegistry {
     /// Buffered events in arrival order, plus how many overflowed.
     pub fn events_snapshot(&self) -> (Vec<EventRecord>, u64) {
         let buffer = self.events.lock().unwrap();
-        (buffer.events.clone(), buffer.dropped + self.event_gate.dropped.load(Ordering::Relaxed))
+        (buffer.events.clone(), self.events_dropped.get())
     }
 
     /// Closed spans in completion order, plus how many the ring
@@ -516,7 +618,40 @@ mod tests {
         assert_eq!(dropped, 0);
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].kind, "dram.bit_flip");
-        assert_eq!(events[0].fields[1], ("row".to_string(), 42));
+        assert_eq!(events[0].fields(), &[("bank", 1), ("row", 42)]);
+    }
+
+    #[test]
+    fn tally_publishes_its_delta_on_flush_and_drop() {
+        let registry = MetricsRegistry::new();
+        let mut tally = registry.tally("x");
+        tally.add(3);
+        tally.inc();
+        assert_eq!(tally.get(), 4);
+        assert_eq!(registry.counters_snapshot(), vec![("x".to_string(), 0)]);
+        tally.flush();
+        assert_eq!(registry.counter("x").get(), 4);
+        tally.flush();
+        assert_eq!(registry.counter("x").get(), 4, "a second flush publishes nothing");
+        tally.add(2);
+        drop(tally);
+        assert_eq!(registry.counter("x").get(), 6);
+    }
+
+    #[test]
+    fn event_overflow_is_counted_by_whoever_owns_the_drop() {
+        let registry = MetricsRegistry::shared();
+        for t in 0..EVENT_CAPACITY as u64 {
+            assert!(registry.try_event("e", t, &[]));
+        }
+        assert!(!registry.try_event("e", 0, &[]), "the caller owns this drop");
+        registry.event("e", 0, &[("bank", 1)]);
+        let mut owned = Tally::new(registry.events_dropped_counter());
+        owned.add(5);
+        drop(owned);
+        let (events, dropped) = registry.events_snapshot();
+        assert_eq!(events.len(), EVENT_CAPACITY);
+        assert_eq!(dropped, 6);
     }
 
     #[test]

@@ -119,18 +119,37 @@ pub struct MemoryController {
     faults: Option<Box<dyn FaultInjector>>,
     /// Adaptive-recovery ladder state (see [`RecoveryLadder`]).
     recovery: RecoveryLadder,
+    /// Registry counters resolved by [`MemoryController::counter`].
+    counters: ResolvedCounters,
+}
+
+/// Counters of one registry, resolved by name once per controller.
+#[derive(Debug, Default)]
+struct ResolvedCounters {
+    /// The registry the handles belong to.
+    registry: Option<std::sync::Arc<obs::MetricsRegistry>>,
+    handles: Vec<(&'static str, obs::Counter)>,
 }
 
 impl MemoryController {
     /// Takes ownership of a module. No refresh happens unless explicitly
     /// requested.
     pub fn new(module: Module) -> Self {
-        MemoryController { module, faults: None, recovery: RecoveryLadder::default() }
+        MemoryController::with_hook(module, None)
     }
 
     /// A controller with a fault injector installed from the start.
     pub fn with_faults(module: Module, injector: Box<dyn FaultInjector>) -> Self {
-        MemoryController { module, faults: Some(injector), recovery: RecoveryLadder::default() }
+        MemoryController::with_hook(module, Some(injector))
+    }
+
+    fn with_hook(module: Module, faults: Option<Box<dyn FaultInjector>>) -> Self {
+        MemoryController {
+            module,
+            faults,
+            recovery: RecoveryLadder::default(),
+            counters: ResolvedCounters::default(),
+        }
     }
 
     /// Installs (or, with `None`, removes) the fault injector.
@@ -199,6 +218,27 @@ impl MemoryController {
     /// The metrics registry of the underlying device.
     pub fn registry(&self) -> &std::sync::Arc<obs::MetricsRegistry> {
         self.module.registry()
+    }
+
+    /// The counter `name` of the device's registry, resolved once per
+    /// controller: later calls find the handle in a short per-controller
+    /// list instead of taking the registry lock. Re-resolves if the
+    /// device was attached to another registry since.
+    pub fn counter(&mut self, name: &'static str) -> &obs::Counter {
+        let registry = self.module.registry();
+        let cache = &mut self.counters;
+        if !cache.registry.as_ref().is_some_and(|r| std::sync::Arc::ptr_eq(r, registry)) {
+            cache.registry = Some(std::sync::Arc::clone(registry));
+            cache.handles.clear();
+        }
+        let index = match cache.handles.iter().position(|(n, _)| *n == name) {
+            Some(index) => index,
+            None => {
+                cache.handles.push((name, registry.counter(name)));
+                cache.handles.len() - 1
+            }
+        };
+        &cache.handles[index].1
     }
 
     /// Replays a recorded trace onto the underlying device (see
@@ -489,6 +529,18 @@ mod tests {
             mc.read_row(bank, victim).unwrap().flip_count()
         };
         assert!(flips(HammerMode::Interleaved) > flips(HammerMode::Cascaded));
+    }
+
+    #[test]
+    fn resolved_counters_follow_the_attached_registry() {
+        let mut mc = controller();
+        mc.counter("x").inc();
+        mc.counter("x").inc();
+        assert_eq!(mc.registry().counter("x").get(), 2);
+        let run = std::sync::Arc::new(obs::MetricsRegistry::new());
+        mc.module_mut().attach_registry(std::sync::Arc::clone(&run));
+        mc.counter("x").inc();
+        assert_eq!(run.counter("x").get(), 1, "a re-attached device re-resolves");
     }
 
     #[test]

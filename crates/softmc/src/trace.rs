@@ -475,7 +475,8 @@ mod tests {
 
     /// The registry view of a replayed trace is an exact backfill of the
     /// trace's command totals: every ACT (batched hammers expanded), PRE,
-    /// REF, and row read/write lands in the matching counter.
+    /// REF, and row read/write lands in the matching counter once the
+    /// device publishes its counts (on drop).
     #[test]
     fn replay_backfills_registry_counters_exactly() {
         let trace = sample_trace();
@@ -497,6 +498,8 @@ mod tests {
         let mut module = Module::new(ModuleConfig::small_test(), 9);
         module.attach_registry(Arc::clone(&registry));
         trace.replay(&mut module).unwrap();
+        let end = module.now().as_ns();
+        drop(module);
 
         use dram_sim::metrics::{CTR_ACT, CTR_PRE, CTR_REF, CTR_ROW_READS, CTR_ROW_WRITES};
         assert_eq!(registry.counter(CTR_ACT).get(), acts);
@@ -509,7 +512,7 @@ mod tests {
         let (spans, _) = registry.spans_snapshot();
         let span = spans.iter().find(|s| s.name == "softmc.trace.replay").unwrap();
         assert_eq!(span.fields, vec![("commands".to_string(), trace.len() as u64)]);
-        assert_eq!(span.sim_end, module.now().as_ns());
+        assert_eq!(span.sim_end, end);
     }
 
     #[test]

@@ -122,8 +122,8 @@ pub struct Graphene {
     banks: Vec<BankTable>,
     ref_count: u64,
     pending: Vec<TrrDetection>,
-    /// `trr.Graphene.detections` — present once a registry is attached.
-    det_ctr: Option<obs::Counter>,
+    /// `trr.Graphene.detections` — published once a registry is attached.
+    det_ctr: obs::Tally,
 }
 
 impl Graphene {
@@ -134,7 +134,7 @@ impl Graphene {
             banks: (0..banks).map(|_| BankTable::default()).collect(),
             ref_count: 0,
             pending: Vec::new(),
-            det_ctr: None,
+            det_ctr: obs::Tally::default(),
         }
     }
 
@@ -148,9 +148,7 @@ impl Graphene {
         let crossed = self.banks[bank.index() as usize].add(row, count, &config);
         if crossed {
             self.pending.push(TrrDetection { bank, aggressor: row, span: NeighborSpan::One });
-            if let Some(c) = &self.det_ctr {
-                c.inc();
-            }
+            self.det_ctr.inc();
         }
     }
 }
@@ -198,7 +196,11 @@ impl MitigationEngine for Graphene {
     }
 
     fn attach_metrics(&mut self, registry: &std::sync::Arc<obs::MetricsRegistry>) {
-        self.det_ctr = Some(registry.counter("trr.Graphene.detections"));
+        self.det_ctr = registry.tally("trr.Graphene.detections");
+    }
+
+    fn flush_metrics(&mut self) {
+        self.det_ctr.flush();
     }
 
     fn reset(&mut self) {

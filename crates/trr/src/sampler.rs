@@ -99,10 +99,10 @@ pub struct SamplerTrr {
     ref_count: u64,
     rng: SplitMix64,
     seed: u64,
-    /// `trr.<name>.detections` — present once a registry is attached.
-    det_ctr: Option<obs::Counter>,
+    /// `trr.<name>.detections` — published once a registry is attached.
+    det_ctr: obs::Tally,
     /// `trr.<name>.samples` — register overwrites by sampled `ACT`s.
-    sample_ctr: Option<obs::Counter>,
+    sample_ctr: obs::Tally,
     /// The attached registry, for flight-recorder sample events.
     registry: Option<std::sync::Arc<obs::MetricsRegistry>>,
 }
@@ -118,8 +118,8 @@ impl SamplerTrr {
             ref_count: 0,
             rng: SplitMix64::new(seed),
             seed,
-            det_ctr: None,
-            sample_ctr: None,
+            det_ctr: obs::Tally::default(),
+            sample_ctr: obs::Tally::default(),
             registry: None,
         }
     }
@@ -194,9 +194,7 @@ impl MitigationEngine for SamplerTrr {
         if self.rng.next_f64() >= miss {
             let idx = self.register_index(bank);
             self.registers[idx] = Some((bank, row));
-            if let Some(c) = &self.sample_ctr {
-                c.inc();
-            }
+            self.sample_ctr.inc();
             self.trace_sample(bank, row, now);
         }
     }
@@ -224,9 +222,7 @@ impl MitigationEngine for SamplerTrr {
             let row = if self.rng.next_f64() < 1.0 / (1.0 + q) { second } else { first };
             let idx = self.register_index(bank);
             self.registers[idx] = Some((bank, row));
-            if let Some(c) = &self.sample_ctr {
-                c.inc();
-            }
+            self.sample_ctr.inc();
             self.trace_sample(bank, row, now);
         }
     }
@@ -243,18 +239,18 @@ impl MitigationEngine for SamplerTrr {
             aggressor,
             span: self.config.span,
         }));
-        let detected = (out.len() - before) as u64;
-        if detected > 0 {
-            if let Some(c) = &self.det_ctr {
-                c.add(detected);
-            }
-        }
+        self.det_ctr.add((out.len() - before) as u64);
     }
 
     fn attach_metrics(&mut self, registry: &std::sync::Arc<obs::MetricsRegistry>) {
-        self.det_ctr = Some(registry.counter(&format!("trr.{}.detections", self.name)));
-        self.sample_ctr = Some(registry.counter(&format!("trr.{}.samples", self.name)));
+        self.det_ctr = registry.tally(&format!("trr.{}.detections", self.name));
+        self.sample_ctr = registry.tally(&format!("trr.{}.samples", self.name));
         self.registry = Some(std::sync::Arc::clone(registry));
+    }
+
+    fn flush_metrics(&mut self) {
+        self.det_ctr.flush();
+        self.sample_ctr.flush();
     }
 
     fn detects_inline(&self) -> bool {

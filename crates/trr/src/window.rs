@@ -107,8 +107,8 @@ pub struct WindowTrr {
     ref_count: u64,
     rng: SplitMix64,
     seed: u64,
-    /// `trr.<name>.detections` — present once a registry is attached.
-    det_ctr: Option<obs::Counter>,
+    /// `trr.<name>.detections` — published once a registry is attached.
+    det_ctr: obs::Tally,
 }
 
 impl WindowTrr {
@@ -123,7 +123,7 @@ impl WindowTrr {
                 pending: false,
             })
             .collect();
-        WindowTrr { config, name, banks, ref_count: 0, rng, seed, det_ctr: None }
+        WindowTrr { config, name, banks, ref_count: 0, rng, seed, det_ctr: obs::Tally::default() }
     }
 
     /// The C_TRR1 mechanism (modules C0–C8 of Table 1).
@@ -256,16 +256,15 @@ impl MitigationEngine for WindowTrr {
                 None => {}
             }
         }
-        let detected = (out.len() - before) as u64;
-        if detected > 0 {
-            if let Some(c) = &self.det_ctr {
-                c.add(detected);
-            }
-        }
+        self.det_ctr.add((out.len() - before) as u64);
     }
 
     fn attach_metrics(&mut self, registry: &std::sync::Arc<obs::MetricsRegistry>) {
-        self.det_ctr = Some(registry.counter(&format!("trr.{}.detections", self.name)));
+        self.det_ctr = registry.tally(&format!("trr.{}.detections", self.name));
+    }
+
+    fn flush_metrics(&mut self) {
+        self.det_ctr.flush();
     }
 
     fn detects_inline(&self) -> bool {
