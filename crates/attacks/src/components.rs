@@ -24,7 +24,7 @@
 use dram_sim::{Bank, DramError, RowAddr};
 use softmc::MemoryController;
 
-use crate::pattern::{AccessPattern, PatternTarget};
+use crate::pattern::{for_each_interval, AccessPattern, Between, PatternTarget};
 use crate::verdict::Verdict;
 
 /// Single-bank activation budget between two `REF`s (footnote 10).
@@ -111,6 +111,16 @@ pub trait PatternGenerator: Send + Sync {
     /// The rows this generator drives for `target`, with per-interval
     /// doses. Needs the controller for physical-to-logical mapping
     /// (Half-Double derives its distance-2 rows here).
+    ///
+    /// # Contract
+    ///
+    /// A pure function of `self`, `target` and the module's static
+    /// configuration (mapping, topology, geometry): never of device
+    /// time, `REF` count, row contents or fault state. The attack
+    /// harness relies on this to compute the layout once per victim
+    /// position and reuse it for every interval
+    /// ([`run_composed`]); anything that must vary across intervals
+    /// belongs in the [`Scheduler`], which sees the interval index.
     fn layout(&self, mc: &MemoryController, target: &PatternTarget) -> AggressorLayout;
 
     /// Rows the evaluation harness should initialize with the
@@ -158,8 +168,10 @@ pub fn execute_slots(
     Ok(())
 }
 
-/// Runs one interval of a generator/scheduler pair: layout → slots →
-/// device.
+/// Runs a generator/scheduler pair against one victim position for
+/// `intervals` intervals: the layout is planned once, then each
+/// interval schedules into one reused slot buffer and executes it
+/// before `between`.
 ///
 /// # Errors
 ///
@@ -169,14 +181,18 @@ pub fn run_composed(
     scheduler: &dyn Scheduler,
     mc: &mut MemoryController,
     target: &PatternTarget,
-    interval: u64,
+    intervals: u64,
+    between: &mut Between<'_>,
 ) -> Result<(), DramError> {
     let layout = generator.layout(mc, target);
     let mut slots = Vec::with_capacity(
         layout.aggressors.len() + layout.dummies.len() + layout.other_bank.len(),
     );
-    scheduler.schedule(&layout, interval, &mut slots);
-    execute_slots(mc, target.bank, &slots)
+    for_each_interval(mc, intervals, between, |mc, interval| {
+        slots.clear();
+        scheduler.schedule(&layout, interval, &mut slots);
+        execute_slots(mc, target.bank, &slots)
+    })
 }
 
 /// A generator with a canonical scheduler — what the hand-written
@@ -206,13 +222,14 @@ impl<T: BuiltinAttack> AccessPattern for T {
         self.seed_rows(target)
     }
 
-    fn run_interval(
+    fn run_intervals(
         &self,
         mc: &mut MemoryController,
         target: &PatternTarget,
-        interval: u64,
+        intervals: u64,
+        between: &mut Between<'_>,
     ) -> Result<(), DramError> {
-        run_composed(self, &self.scheduler(), mc, target, interval)
+        run_composed(self, &self.scheduler(), mc, target, intervals, between)
     }
 }
 
@@ -255,13 +272,15 @@ impl AccessPattern for ComposedAttack {
         self.generator.seed_rows(target)
     }
 
-    fn run_interval(
+    fn run_intervals(
         &self,
         mc: &mut MemoryController,
         target: &PatternTarget,
-        interval: u64,
+        intervals: u64,
+        between: &mut Between<'_>,
     ) -> Result<(), DramError> {
-        run_composed(self.generator.as_ref(), self.scheduler.as_ref(), mc, target, interval)
+        let (generator, scheduler) = (self.generator.as_ref(), self.scheduler.as_ref());
+        run_composed(generator, scheduler, mc, target, intervals, between)
     }
 
     fn verdict(&self) -> &dyn Verdict {

@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use dram_sim::{Bank, DataPattern, Module, PhysRow};
+use dram_sim::{Bank, DataPattern, Module, Nanos, PhysRow};
 use obs::MetricsRegistry;
 use softmc::MemoryController;
 use utrr_modules::ModuleSpec;
@@ -188,21 +188,21 @@ pub fn evaluate_position(
             .expect("aggressor address is in range");
     }
 
-    let timings = mc.module().timings();
+    let t_refi = mc.module().timings().t_refi;
     let period = mc.module().config().refresh.period_refs as u64;
     let intervals = period * config.windows as u64;
-    for _ in 0..intervals {
-        let started = mc.now();
-        let interval = mc.module().ref_count();
-        pattern.run_interval(mc, &target, interval).expect("patterns stay within protocol rules");
+    let mut between = |mc: &mut MemoryController, started: Nanos| {
         mc.module_mut().refresh();
         let elapsed = mc.now() - started;
-        mc.module_mut().advance(timings.t_refi.saturating_sub(elapsed));
+        mc.module_mut().advance(t_refi.saturating_sub(elapsed));
         // The interval loop drives the module directly for timing
         // control, so the environment (drift, VRT bursts) must be
         // ticked explicitly; a no-op without a fault injector.
         mc.tick_environment();
-    }
+    };
+    pattern
+        .run_intervals(mc, &target, intervals, &mut between)
+        .expect("patterns stay within protocol rules");
 
     // The attack's verdict stage reads the victim back and scores it
     // (flip counting against the weak-cell ground truth by default).

@@ -51,5 +51,5 @@ pub use components::{
     Scheduler, Slot, INTERVAL_BUDGET,
 };
 pub use eval::{BankSweep, EvalConfig, PositionResult};
-pub use pattern::{AccessPattern, PatternTarget};
+pub use pattern::{AccessPattern, Between, PatternTarget};
 pub use verdict::{FlipCountVerdict, Verdict};

@@ -9,7 +9,7 @@
 //! once every 7.8 µs to comply with the vendor-specified default refresh
 //! rate" (§7.2).
 
-use dram_sim::{Bank, DramError, PhysRow, RowAddr, Topology};
+use dram_sim::{Bank, DramError, Nanos, PhysRow, RowAddr, Topology};
 use softmc::MemoryController;
 
 /// Everything a pattern needs to know about one victim position.
@@ -67,6 +67,33 @@ impl PatternTarget {
     }
 }
 
+/// The harness's work after each interval's accesses — issue the `REF`,
+/// pace the clock to `tREFI`, tick the environment — given the
+/// controller and the device time at which the interval started.
+pub type Between<'a> = dyn FnMut(&mut MemoryController, Nanos) + 'a;
+
+/// Runs `intervals` intervals of `body`, each followed by `between`:
+/// the loop every [`AccessPattern::run_intervals`] shares. `body` gets
+/// the interval's index (the device's `REF` count at its start).
+///
+/// # Errors
+///
+/// Propagates the first device protocol error of `body`.
+pub(crate) fn for_each_interval(
+    mc: &mut MemoryController,
+    intervals: u64,
+    between: &mut Between<'_>,
+    mut body: impl FnMut(&mut MemoryController, u64) -> Result<(), DramError>,
+) -> Result<(), DramError> {
+    for _ in 0..intervals {
+        let started = mc.now();
+        let interval = mc.module().ref_count();
+        body(mc, interval)?;
+        between(mc, started);
+    }
+    Ok(())
+}
+
 /// One RowHammer access pattern.
 ///
 /// Implementations must stay within one bank's activation budget per
@@ -92,19 +119,26 @@ pub trait AccessPattern {
         target.aggressors.clone()
     }
 
-    /// Executes one `tREFI` interval's accesses. `interval` counts
-    /// intervals since power-on (equal to the device's `REF` count), so
+    /// Attacks one victim position for `intervals` consecutive `tREFI`
+    /// intervals: each interval issues this pattern's accesses, then
+    /// calls `between` (see [`Between`]). Each interval's index is the
+    /// device's `REF` count at its start (intervals since power-on), so
     /// patterns can synchronize with the TRR-capable-`REF` cadence the
     /// way the paper's attacker does via SMASH-style timing channels.
+    ///
+    /// Taking every interval of a position at once lets a pattern plan
+    /// once per position — resolve its rows, size its buffers — rather
+    /// than once per interval.
     ///
     /// # Errors
     ///
     /// Propagates device protocol errors.
-    fn run_interval(
+    fn run_intervals(
         &self,
         mc: &mut MemoryController,
         target: &PatternTarget,
-        interval: u64,
+        intervals: u64,
+        between: &mut Between<'_>,
     ) -> Result<(), DramError>;
 
     /// The verdict stage scoring each victim position once the

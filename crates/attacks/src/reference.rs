@@ -2,8 +2,9 @@
 //! oracle.
 //!
 //! Before the component refactor ([`crate::components`]), every attack
-//! hand-wrote its `run_interval` against the device API. Those bodies
-//! are preserved here verbatim, wrapped in [`Legacy`], so property
+//! hand-wrote its per-interval body against the device API. Those
+//! bodies are preserved here verbatim, wrapped in [`Legacy`] and run
+//! once per interval (no planning across intervals), so property
 //! tests can assert that the generator/scheduler decomposition issues
 //! the *exact same device-call sequence* — same flips, same counters —
 //! for every parameterisation (the precedent is `dram-sim`'s
@@ -18,7 +19,7 @@ use crate::baseline::{DoubleSided, ManySided, SingleSided};
 use crate::components::{PatternGenerator, INTERVAL_BUDGET};
 use crate::custom::{VendorAPattern, VendorBPattern, VendorCPattern};
 use crate::half_double::HalfDouble;
-use crate::pattern::{AccessPattern, PatternTarget};
+use crate::pattern::{for_each_interval, AccessPattern, Between, PatternTarget};
 
 /// Wraps an attack's parameter struct with the frozen pre-refactor
 /// interval body. Reports the same name/rate/init rows as the modern
@@ -41,14 +42,17 @@ macro_rules! legacy_pattern {
                 self.0.seed_rows(target)
             }
 
-            fn run_interval(
+            fn run_intervals(
                 &self,
                 mc: &mut MemoryController,
                 target: &PatternTarget,
-                interval: u64,
+                intervals: u64,
+                between: &mut Between<'_>,
             ) -> Result<(), DramError> {
-                #[allow(clippy::redundant_closure_call)]
-                ($body)(&self.0, mc, target, interval)
+                for_each_interval(mc, intervals, between, |mc, interval| {
+                    #[allow(clippy::redundant_closure_call)]
+                    ($body)(&self.0, mc, target, interval)
+                })
             }
         }
     };

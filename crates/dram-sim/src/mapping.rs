@@ -180,24 +180,27 @@ impl Topology {
         rows_per_bank: u32,
         radius2_weight: f64,
     ) -> Vec<(PhysRow, f64)> {
-        let (targets, n) = self.disturb_targets_fixed(row, rows_per_bank, radius2_weight);
-        targets[..n].to_vec()
+        let mut targets = Vec::with_capacity(4);
+        self.for_each_disturb_target(row, rows_per_bank, radius2_weight, |victim, weight| {
+            targets.push((victim, weight));
+        });
+        targets
     }
 
-    /// Allocation-free form of [`Topology::disturb_targets`]: fills a
-    /// fixed array (a topology disturbs at most 4 rows) and returns how
-    /// many entries are valid. This is the per-`ACT` hot path — every
-    /// activation resolves its victims through here, so it must not
-    /// touch the heap.
-    pub fn disturb_targets_fixed(
+    /// Visits [`Topology::disturb_targets`] in the same order without
+    /// building a list. This is the per-`ACT` hot path — every
+    /// activation resolves its victims through here — so it must not
+    /// touch the heap, and it hands each target straight to `visit`
+    /// (no intermediate array to spill and reload).
+    #[inline]
+    pub fn for_each_disturb_target(
         self,
         row: PhysRow,
         rows_per_bank: u32,
         radius2_weight: f64,
-    ) -> ([(PhysRow, f64); 4], usize) {
+        mut visit: impl FnMut(PhysRow, f64),
+    ) {
         let r = row.index();
-        let mut out = [(PhysRow::new(0), 0.0f64); 4];
-        let mut n = 0;
         match self {
             Topology::Linear => {
                 let candidates = [
@@ -208,7 +211,41 @@ impl Topology {
                 ];
                 for (c, w) in candidates {
                     if c < rows_per_bank && w > 0.0 {
-                        out[n] = (PhysRow::new(c), w);
+                        visit(PhysRow::new(c), w);
+                    }
+                }
+            }
+            Topology::Paired => {
+                let pair = r ^ 1;
+                if pair < rows_per_bank {
+                    visit(PhysRow::new(pair), 1.0);
+                }
+            }
+        }
+    }
+
+    /// Allocation-free form of [`Topology::trr_victims`], in the same
+    /// order: fills a fixed array (a detection refreshes at most 4 rows)
+    /// and returns how many entries are valid. Every TRR detection the
+    /// device acts on resolves its victims through here.
+    pub fn trr_victims_fixed(
+        self,
+        row: PhysRow,
+        rows_per_bank: u32,
+        span: crate::mitigation::NeighborSpan,
+    ) -> ([PhysRow; 4], usize) {
+        let r = row.index();
+        let mut out = [PhysRow::new(0); 4];
+        let mut n = 0;
+        match self {
+            Topology::Linear => {
+                for d in 1..=span.per_side() {
+                    if let Some(above) = r.checked_sub(d) {
+                        out[n] = PhysRow::new(above);
+                        n += 1;
+                    }
+                    if r + d < rows_per_bank {
+                        out[n] = PhysRow::new(r + d);
                         n += 1;
                     }
                 }
@@ -216,7 +253,7 @@ impl Topology {
             Topology::Paired => {
                 let pair = r ^ 1;
                 if pair < rows_per_bank {
-                    out[0] = (PhysRow::new(pair), 1.0);
+                    out[0] = PhysRow::new(pair);
                     n = 1;
                 }
             }
@@ -226,6 +263,8 @@ impl Topology {
 
     /// Physical rows a TRR mechanism refreshes when it detects `row` as an
     /// aggressor and is configured to protect `span` neighbours per side.
+    /// The reference the device's [`Topology::trr_victims_fixed`] is
+    /// tested against.
     pub fn trr_victims(
         self,
         row: PhysRow,

@@ -21,6 +21,21 @@
 //! `period_refs` `REF` commands. The paper's Observation A8 (vendor A
 //! refreshes internally every 3758 REFs instead of every ~8192) is a
 //! [`RefreshConfig`] parameter.
+//!
+//! # Row storage
+//!
+//! A touched row's state is split in two dense arrays at the same index
+//! (resolved through one `(bank, physical row)` slot map): a small `Copy`
+//! `RowHot` record — last restore, accumulated disturbance, the stored
+//! pattern's aggressor coupling, and three restore gates — and the cold
+//! `RowState` with the row's data and physics. A hammer burst, the
+//! disturbance it deposits and the `REF` scan read and write `RowHot`
+//! only; a restore reaches `RowState` only when its gates say the decay
+//! window can materialize a flip or advance the VRT chain. The gates are
+//! exact summaries (minimum effective retention and first-flip threshold
+//! while the row holds data, the VRT observation floor for rows with a
+//! VRT cell), refreshed wherever the cold state changes, so the split is
+//! invisible in results.
 
 use std::sync::Arc;
 
@@ -99,13 +114,80 @@ impl ModuleConfig {
     }
 }
 
-/// Mutable per-row state, created on first touch.
+/// Cold per-row state, created on first touch: the stored data and the
+/// row's physics. Only a restore that can materialize flips or advance
+/// the VRT chain, a data access, or a calibration probe reads it.
 #[derive(Debug)]
 struct RowState {
-    last_restore: Nanos,
-    disturbance: f64,
     data: Option<RowData>,
     physics: RowPhysics,
+}
+
+/// Hot per-row state, at the same index as the row's [`RowState`]: all
+/// that a hammer's restore and disturbance updates and the `REF` scan
+/// read and write. A dense array of small `Copy` records, so a burst
+/// touching five rows reads five short records instead of five full
+/// row states with their data and cell arrays.
+///
+/// The three gates summarize the cold state for the restore fast path:
+/// a restore whose decay window passes all three materializes no flip
+/// and leaves the VRT chain alone, so it only resets the window here.
+#[derive(Debug, Clone, Copy)]
+struct RowHot {
+    /// End of the row's last full restore.
+    last_restore: Nanos,
+    /// RowHammer disturbance accumulated since `last_restore`.
+    disturbance: f64,
+    /// [`PhysicsConfig::aggressor_coupling`] of the stored data pattern,
+    /// set where data is written (`write_open_row`).
+    coupling: f64,
+    /// Drift-scaled decay windows up to this long flip no weak cell: the
+    /// row's minimum effective retention while it holds data, else
+    /// never (an unwritten row has no data to flip).
+    retention_gate: Nanos,
+    /// Disturbance below this flips no hammerable cell: the row's
+    /// `hc_base` while it holds data, else never.
+    hammer_gate: f64,
+    /// Raw decay windows at least this long advance the VRT chain:
+    /// [`VRT_OBSERVATION_FLOOR`] for rows with a VRT cell, else never
+    /// (the chain of a row without VRT cells has nothing to advance).
+    vrt_gate: Nanos,
+}
+
+impl RowHot {
+    /// Decay windows no real run reaches.
+    const NEVER: Nanos = Nanos::from_ns(u64::MAX);
+
+    /// The hot state of a row created at `now`, before any data write.
+    fn fresh(now: Nanos, coupling: f64, physics: &RowPhysics) -> Self {
+        RowHot {
+            last_restore: now,
+            disturbance: 0.0,
+            coupling,
+            retention_gate: Self::NEVER,
+            hammer_gate: f64::INFINITY,
+            vrt_gate: if physics.has_vrt() { VRT_OBSERVATION_FLOOR } else { Self::NEVER },
+        }
+    }
+
+    /// Whether a restore ending a decay window of `raw` (drift-scaled:
+    /// `elapsed`) can skip the cold state: no flip can materialize and
+    /// the VRT chain does not advance.
+    #[inline]
+    fn restore_is_quiet(&self, raw: Nanos, elapsed: Nanos) -> bool {
+        #[cfg(test)]
+        if ALWAYS_COLD.with(std::cell::Cell::get) {
+            return false;
+        }
+        raw < self.vrt_gate && elapsed <= self.retention_gate && self.disturbance < self.hammer_gate
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Routes every restore through the cold path: the reference the
+    /// gated fast path is tested against.
+    static ALWAYS_COLD: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
 /// The round-robin `REF` window `[start, end)` of the upcoming `REF`,
@@ -183,11 +265,15 @@ pub struct Module {
     /// `REF`, which is real money at a million REFs per experiment.
     ref_window: RefWindow,
     /// Dense per-slot map from `(bank, physical row)` to an index into
-    /// `row_states` (4 bytes per row of the module). The hammer/restore
-    /// hot path resolves a row in two array reads — no hashing.
-    /// Entries are only meaningful where the `touched` bit is set.
+    /// `row_hot` and `row_states` (4 bytes per row of the module). The
+    /// hammer/restore hot path resolves a row in two array reads — no
+    /// hashing. Entries are only meaningful where the `touched` bit is
+    /// set.
     row_index: Vec<u32>,
-    /// Backing store of every touched row's state, in first-touch order.
+    /// Hot state of every touched row, in first-touch order.
+    row_hot: Vec<RowHot>,
+    /// Cold state of every touched row, at the same indices as
+    /// `row_hot`.
     row_states: Vec<RowState>,
     /// One bit per `(bank, physical row)`: set iff the row has an entry
     /// in `row_states`. `REF`'s round-robin scan and TRR victim restores
@@ -195,6 +281,10 @@ pub struct Module {
     /// untouched rows (the overwhelming majority of a 64K-row bank
     /// under a targeted attack) cost one bit test.
     touched: Vec<u64>,
+    /// One bit per physical row: set iff that row is touched in *any*
+    /// bank. A `REF` whose window holds no such bit skips the per-bank
+    /// scan outright.
+    touched_any: Vec<u64>,
     banks: Vec<BankState>,
     /// Reusable drain buffer for mitigation detections, so the `REF`
     /// and post-batch hot paths allocate nothing per command.
@@ -220,7 +310,8 @@ impl Module {
     /// Creates a module protected by the given mitigation engine.
     pub fn with_engine(config: ModuleConfig, engine: Box<dyn MitigationEngine>, seed: u64) -> Self {
         let banks = vec![BankState::default(); config.geometry.banks as usize];
-        let row_slots = config.geometry.banks as usize * config.geometry.rows_per_bank as usize;
+        let rows_per_bank = config.geometry.rows_per_bank as usize;
+        let row_slots = config.geometry.banks as usize * rows_per_bank;
         let metrics = DeviceMetrics::private();
         let mut engine = engine;
         engine.attach_metrics(metrics.registry());
@@ -236,8 +327,10 @@ impl Module {
             ref_count: 0,
             ref_window,
             row_index: vec![u32::MAX; row_slots],
+            row_hot: Vec::new(),
             row_states: Vec::new(),
             touched: vec![0u64; row_slots.div_ceil(64)],
+            touched_any: vec![0u64; rows_per_bank.div_ceil(64)],
             banks,
             detect_buf: Vec::new(),
             retention_drift: 1.0,
@@ -419,11 +512,18 @@ impl Module {
     pub fn write_open_row(&mut self, bank: Bank, pattern: DataPattern) -> Result<(), DramError> {
         self.check_bank(bank)?;
         let (logical, phys) = self.open_row(bank)?;
-        let now = self.now;
-        let state = self.row_state(bank, phys);
+        let index = self.row_entry(bank, phys);
+        let coupling = self.config.physics.aggressor_coupling(Some(&pattern));
+        let state = &mut self.row_states[index];
         state.data = Some(RowData::new(pattern, logical));
-        state.last_restore = now;
-        state.disturbance = 0.0;
+        self.row_hot[index] = RowHot {
+            last_restore: self.now,
+            disturbance: 0.0,
+            coupling,
+            retention_gate: state.physics.cells.min_effective(),
+            hammer_gate: state.physics.hc_base,
+            ..self.row_hot[index]
+        };
         self.metrics.row_writes.inc();
         self.now += ROW_IO;
         Ok(())
@@ -440,8 +540,8 @@ impl Module {
         self.check_bank(bank)?;
         let (logical, phys) = self.open_row(bank)?;
         let row_bits = self.config.geometry.row_bits();
-        let state = self.row_state(bank, phys);
-        let readout = match &state.data {
+        let index = self.row_entry(bank, phys);
+        let readout = match &self.row_states[index].data {
             Some(data) => {
                 RowReadout::new(logical, data.pattern.clone(), data.flips.clone(), row_bits)
             }
@@ -609,8 +709,9 @@ impl Module {
         // radius-2 disturbance they deposit on *each other* never
         // accumulates past one cycle; the batch restores them only once
         // up front, so clear the residue it would otherwise pile up.
-        self.row_state(bank, p1).disturbance = 0.0;
-        self.row_state(bank, p2).disturbance = 0.0;
+        let (i1, i2) = (self.row_entry(bank, p1), self.row_entry(bank, p2));
+        self.row_hot[i1].disturbance = 0.0;
+        self.row_hot[i2].disturbance = 0.0;
         self.engine.on_interleaved_pair(bank, p1, p2, pairs, self.now);
         self.apply_inline_detections();
         self.banks[bank_idx].last_act = Some(p2);
@@ -645,41 +746,28 @@ impl Module {
     /// The regular sweep is event-driven: instead of probing every row of
     /// the round-robin window, it walks the `touched` bitmap word by word
     /// and extracts set bits with `trailing_zeros`, so untouched rows cost
-    /// nothing at all and a `REF` whose window holds no touched rows goes
-    /// straight to the mitigation engine's `on_refresh` hook. The restore
-    /// order (ascending physical row within each bank, banks in order) is
-    /// identical to the full-window probe retained in
-    /// [`Module::refresh_naive`].
+    /// nothing at all. A window holding no row touched in any bank (one
+    /// probe of the any-bank bitmap) goes straight to the mitigation
+    /// engine's `on_refresh` hook. The restore order (ascending physical
+    /// row within each bank, banks in order) is identical to the
+    /// full-window probe retained in [`Module::refresh_naive`].
     pub fn refresh(&mut self) {
         let (start, end) = self.refresh_window();
+        let (start_row, end_row) = (start as usize, end as usize);
         // Scaled-down geometries have more REFs per period than rows per
-        // bank, so most windows are empty — skip the bank scan outright.
-        if start < end {
+        // bank, so most windows are empty; under a targeted attack most
+        // of the rest hold no touched row in any bank.
+        if next_set_bit(&self.touched_any, start_row, end_row).is_some() {
             let rows_per_bank = self.config.geometry.rows_per_bank as usize;
             let mut restored = 0u64;
             for bank_idx in 0..self.config.geometry.banks {
                 let bank = Bank::new(bank_idx);
                 let base = bank_idx as usize * rows_per_bank;
-                let lo = base + start as usize;
-                let hi = base + end as usize;
-                let mut word_idx = lo / 64;
-                while word_idx * 64 < hi {
-                    let word_base = word_idx * 64;
-                    let mut bits = self.touched[word_idx];
-                    if word_base < lo {
-                        bits &= !0u64 << (lo - word_base);
-                    }
-                    if hi - word_base < 64 {
-                        bits &= (1u64 << (hi - word_base)) - 1;
-                    }
-                    while bits != 0 {
-                        let offset = bits.trailing_zeros() as usize;
-                        bits &= bits - 1;
-                        let phys = PhysRow::new((word_base + offset - base) as u32);
-                        self.restore(bank, phys);
-                        restored += 1;
-                    }
-                    word_idx += 1;
+                let (mut at, hi) = (base + start_row, base + end_row);
+                while let Some(slot) = next_set_bit(&self.touched, at, hi) {
+                    self.restore(bank, PhysRow::new((slot - base) as u32));
+                    restored += 1;
+                    at = slot + 1;
                 }
             }
             self.metrics.regular_row_refreshes.add(restored);
@@ -776,7 +864,8 @@ impl Module {
     /// no real-hardware analogue exists and U-TRR never calls this.
     pub fn inspect_row(&mut self, bank: Bank, row: RowAddr) -> RowPhysicsView {
         let phys = self.phys_of(row);
-        RowPhysicsView::of(&self.row_state(bank, phys).physics)
+        let index = self.row_entry(bank, phys);
+        RowPhysicsView::of(&self.row_states[index].physics)
     }
 
     /// Resets the mitigation engine to power-on state — test support; the
@@ -831,51 +920,59 @@ impl Module {
         self.banks[bank.index() as usize].open.ok_or(DramError::BankClosed { bank })
     }
 
-    /// Get-or-create the state of a row. The `touched` bit doubles as
-    /// the existence check, so the common "row already exists" path
-    /// costs one bit test plus two array reads — no hashing.
+    /// Get-or-create the entry of a row: its index into `row_hot` and
+    /// `row_states`. The `touched` bit doubles as the existence check,
+    /// so the common "row already exists" path costs one bit test plus
+    /// two array reads — no hashing.
     #[inline]
-    fn row_state(&mut self, bank: Bank, phys: PhysRow) -> &mut RowState {
+    fn row_entry(&mut self, bank: Bank, phys: PhysRow) -> usize {
         let slot = self.slot(bank, phys);
-        let (word, mask) = (slot / 64, 1u64 << (slot % 64));
-        if self.touched[word] & mask == 0 {
-            self.touched[word] |= mask;
-            let state = RowState {
-                last_restore: self.now,
-                disturbance: 0.0,
-                data: None,
-                physics: RowPhysics::derive(
-                    &self.config.physics,
-                    self.seed,
-                    Self::key(bank, phys),
-                    self.config.geometry.row_bits(),
-                ),
-            };
-            self.row_index[slot] = u32::try_from(self.row_states.len())
-                .expect("fewer than 2^32 touched rows per module");
-            self.row_states.push(state);
+        if self.touched[slot / 64] & (1u64 << (slot % 64)) == 0 {
+            return self.create_row(slot, bank, phys);
         }
-        let index = self.row_index[slot] as usize;
-        &mut self.row_states[index]
+        self.row_index[slot] as usize
+    }
+
+    /// Creates the entry of an untouched row, restored as of now.
+    #[cold]
+    fn create_row(&mut self, slot: usize, bank: Bank, phys: PhysRow) -> usize {
+        self.touched[slot / 64] |= 1u64 << (slot % 64);
+        let row = phys.index() as usize;
+        self.touched_any[row / 64] |= 1u64 << (row % 64);
+        let physics = RowPhysics::derive(
+            &self.config.physics,
+            self.seed,
+            Self::key(bank, phys),
+            self.config.geometry.row_bits(),
+        );
+        let coupling = self.config.physics.aggressor_coupling(None);
+        let index = self.row_states.len();
+        self.row_index[slot] =
+            u32::try_from(index).expect("fewer than 2^32 touched rows per module");
+        self.row_hot.push(RowHot::fresh(self.now, coupling, &physics));
+        self.row_states.push(RowState { data: None, physics });
+        index
     }
 
     /// Ends the decay window of a row: materializes retention and
     /// RowHammer flips into its data, then marks it fully restored.
+    ///
+    /// Reads only the row's [`RowHot`] unless its gates say the window
+    /// can flip a cell or advance the VRT chain.
     fn restore(&mut self, bank: Bank, phys: PhysRow) {
         let slot = self.slot(bank, phys);
         if self.touched[slot / 64] & (1u64 << (slot % 64)) == 0 {
             // First touch: a freshly created state is already restored.
-            let _ = self.row_state(bank, phys);
+            self.create_row(slot, bank, phys);
             return;
         }
+        let index = self.row_index[slot] as usize;
         let now = self.now;
-        let row_bits = self.config.geometry.row_bits();
-        let state = &mut self.row_states[self.row_index[slot] as usize];
-        if now - state.last_restore == Nanos::ZERO && state.disturbance == 0.0 {
+        let hot = &mut self.row_hot[index];
+        let raw_elapsed = now - hot.last_restore;
+        if raw_elapsed == Nanos::ZERO && hot.disturbance == 0.0 {
             return;
         }
-        let cfg = &self.config.physics;
-        let raw_elapsed = now - state.last_restore;
         // Retention drift scales the decay window, not the clock: a 2%
         // cooler part behaves as if 2% less time had passed. 1.0 takes
         // the untouched path so fault-free runs stay bit-identical.
@@ -884,12 +981,36 @@ impl Module {
         } else {
             raw_elapsed
         };
+        let quiet = hot.restore_is_quiet(raw_elapsed, elapsed);
+        let disturbance = hot.disturbance;
+        hot.last_restore = now;
+        hot.disturbance = 0.0;
+        if !quiet {
+            self.restore_cold(bank, phys, index, raw_elapsed, elapsed, disturbance);
+        }
+    }
+
+    /// The part of a restore that needs the cold state: flips the
+    /// window materializes and the VRT chain's step.
+    #[inline(never)]
+    fn restore_cold(
+        &mut self,
+        bank: Bank,
+        phys: PhysRow,
+        index: usize,
+        raw_elapsed: Nanos,
+        elapsed: Nanos,
+        disturbance: f64,
+    ) {
+        let now = self.now;
+        let row_bits = self.config.geometry.row_bits();
+        let cfg = &self.config.physics;
+        let state = &mut self.row_states[index];
         let mut new_flips = 0u64;
         if let Some(data) = &mut state.data {
-            let flips =
-                window_flips(&state.physics, cfg, elapsed, state.disturbance, row_bits, |bit| {
-                    data.bit(bit)
-                });
+            let flips = window_flips(&state.physics, cfg, elapsed, disturbance, row_bits, |bit| {
+                data.bit(bit)
+            });
             new_flips = flips.len() as u64;
             for bit in flips {
                 data.set_flipped(bit);
@@ -898,9 +1019,10 @@ impl Module {
         if raw_elapsed >= VRT_OBSERVATION_FLOOR {
             let switch_prob = self.vrt_switch_override.unwrap_or(cfg.vrt_switch_prob);
             state.physics.advance_vrt(switch_prob);
+            if state.data.is_some() {
+                self.row_hot[index].retention_gate = state.physics.cells.min_effective();
+            }
         }
-        state.last_restore = now;
-        state.disturbance = 0.0;
         if new_flips > 0 {
             self.metrics.bit_flips.add(new_flips);
             self.metrics.event(
@@ -970,12 +1092,12 @@ impl Module {
                 &[("span", det.span.per_side() as u64)],
                 "",
             );
-            let victims = self.config.topology.trr_victims(
+            let (victims, n) = self.config.topology.trr_victims_fixed(
                 det.aggressor,
                 self.config.geometry.rows_per_bank,
                 det.span,
             );
-            for victim in victims {
+            for &victim in &victims[..n] {
                 if self.restore_existing(det.bank, victim) {
                     self.metrics.trr_row_refreshes.inc();
                 }
@@ -1008,24 +1130,36 @@ impl Module {
     /// Adds `weight` units of disturbance (before coupling) from an
     /// activation of `source` to its topological neighbours.
     fn disturb_from(&mut self, bank: Bank, source: PhysRow, weight: f64) {
-        let coupling = {
-            let slot = self.slot(bank, source);
-            let pattern = if self.touched[slot / 64] & (1u64 << (slot % 64)) != 0 {
-                self.row_states[self.row_index[slot] as usize].data.as_ref().map(|d| &d.pattern)
-            } else {
-                None
-            };
-            self.config.physics.aggressor_coupling(pattern)
+        let slot = self.slot(bank, source);
+        let coupling = if self.touched[slot / 64] & (1u64 << (slot % 64)) != 0 {
+            self.row_hot[self.row_index[slot] as usize].coupling
+        } else {
+            self.config.physics.aggressor_coupling(None)
         };
-        let (targets, n) = self.config.topology.disturb_targets_fixed(
-            source,
-            self.config.geometry.rows_per_bank,
-            self.config.physics.radius2_weight,
-        );
-        for &(victim, w) in &targets[..n] {
-            self.row_state(bank, victim).disturbance += w * weight * coupling;
-        }
+        let topology = self.config.topology;
+        let rows_per_bank = self.config.geometry.rows_per_bank;
+        let radius2_weight = self.config.physics.radius2_weight;
+        topology.for_each_disturb_target(source, rows_per_bank, radius2_weight, |victim, w| {
+            let index = self.row_entry(bank, victim);
+            self.row_hot[index].disturbance += w * weight * coupling;
+        });
     }
+}
+
+/// The index of the first set bit of `words` in `[from, end)`, if any.
+#[inline]
+fn next_set_bit(words: &[u64], from: usize, end: usize) -> Option<usize> {
+    let mut at = from;
+    while at < end {
+        let word = at / 64;
+        let bits = words[word] & (!0u64 << (at % 64));
+        if bits != 0 {
+            let index = word * 64 + bits.trailing_zeros() as usize;
+            return (index < end).then_some(index);
+        }
+        at = (word + 1) * 64;
+    }
+    None
 }
 
 #[cfg(test)]
@@ -1309,6 +1443,61 @@ mod tests {
         assert_eq!(s.activations, 11);
         assert_eq!(s.refreshes, 1);
         assert_eq!(m.ref_count(), 1);
+    }
+
+    /// One seeded command trace mixing writes of every coupling class,
+    /// single and paired hammers, idle gaps from microseconds to past
+    /// the retention range, `REF` bursts, reads and retention drift;
+    /// returns every readout in order plus the final counters.
+    fn gate_trace(seed: u64, always_cold: bool) -> (Vec<Vec<u32>>, ModuleStats) {
+        ALWAYS_COLD.with(|flag| flag.set(always_cold));
+        let mut m = Module::new(ModuleConfig::small_test(), seed);
+        let mut rng = crate::rng::SplitMix64::new(seed);
+        let mut readouts = Vec::new();
+        let row = |rng: &mut crate::rng::SplitMix64| RowAddr::new(100 + rng.next_below(48) as u32);
+        for _ in 0..400 {
+            let bank = Bank::new(rng.next_below(2) as u8);
+            match rng.next_below(8) {
+                0 => {
+                    let pattern = match rng.next_below(3) {
+                        0 => DataPattern::Ones,
+                        1 => DataPattern::Checkerboard,
+                        _ => DataPattern::RowStripe,
+                    };
+                    m.write_row(bank, row(&mut rng), pattern).unwrap();
+                }
+                1 => m.hammer(bank, row(&mut rng), 1 + rng.next_below(3_000)).unwrap(),
+                2 => {
+                    let first = row(&mut rng);
+                    let pairs = 1 + rng.next_below(2_000);
+                    m.hammer_pair(bank, first, first.plus(2), pairs).unwrap();
+                }
+                3 => m.advance(Nanos::from_us(1 + rng.next_below(600_000))),
+                4 => m.refresh_burst_at_refi(1 + rng.next_below(200)),
+                5 => {
+                    readouts.push(m.read_row(bank, row(&mut rng)).unwrap().flipped_bits().to_vec())
+                }
+                6 => m.set_retention_drift([1.0, 1.03, 0.96][rng.next_below(3) as usize]),
+                _ => m.advance(Nanos::from_us(1 + rng.next_below(50))),
+            }
+        }
+        ALWAYS_COLD.with(|flag| flag.set(false));
+        (readouts, m.stats())
+    }
+
+    #[test]
+    fn gated_restores_match_always_cold_restores() {
+        let mut flips = 0;
+        for seed in 0..16 {
+            let gated = gate_trace(seed, false);
+            assert_eq!(
+                gated,
+                gate_trace(seed, true),
+                "seed {seed}: the restore gates changed results"
+            );
+            flips += gated.1.bit_flips;
+        }
+        assert!(flips > 0, "the traces must materialize flips");
     }
 
     #[test]

@@ -328,7 +328,6 @@ impl RowPhysics {
     }
 
     /// Whether any weak cell of the row is VRT-afflicted.
-    #[cfg_attr(not(test), allow(dead_code))]
     pub fn has_vrt(&self) -> bool {
         (0..self.cells.len()).any(|i| self.cells.is_vrt(i))
     }

@@ -1,7 +1,9 @@
 //! Property tests on the device's core invariants: mapping bijectivity,
 //! batched-hammer equivalence, refresh coverage, and flip monotonicity.
 
-use dram_sim::{Bank, DataPattern, Module, ModuleConfig, PhysRow, RowAddr, RowMapping, Topology};
+use dram_sim::{
+    Bank, DataPattern, Module, ModuleConfig, NeighborSpan, PhysRow, RowAddr, RowMapping, Topology,
+};
 use proptest::prelude::*;
 
 fn mapping_strategy() -> impl Strategy<Value = RowMapping> {
@@ -156,5 +158,23 @@ proptest! {
             m.read_row(bank, victim).unwrap().flip_count()
         };
         prop_assert_eq!(flips_with(mapping), flips_with(RowMapping::Identity));
+    }
+
+    /// The allocation-free victim list the device uses on every TRR
+    /// detection names the same rows, in the same order, as the
+    /// `Vec`-returning reference, at bank edges and for both spans and
+    /// topologies.
+    #[test]
+    fn trr_victims_fixed_matches_trr_victims(
+        rows_per_bank in 1u32..64,
+        row in 0u32..64,
+        span_two in any::<bool>(),
+        paired in any::<bool>(),
+    ) {
+        let row = PhysRow::new(row % rows_per_bank);
+        let span = if span_two { NeighborSpan::Two } else { NeighborSpan::One };
+        let topology = if paired { Topology::Paired } else { Topology::Linear };
+        let (fixed, n) = topology.trr_victims_fixed(row, rows_per_bank, span);
+        prop_assert_eq!(fixed[..n].to_vec(), topology.trr_victims(row, rows_per_bank, span));
     }
 }

@@ -147,8 +147,9 @@ pub fn characterize(params: &SweepParams, index: u64) -> FleetRecord {
     let synth = synth_spec(params.fleet_seed, index, params.base_rows);
     let spec = &synth.spec;
     // A private registry per module: its counters are exactly this
-    // module's pipeline traffic, nothing else's.
-    let registry = MetricsRegistry::shared();
+    // module's pipeline traffic, nothing else's. Records read counters
+    // only, so the registry keeps detail (the event buffer) off.
+    let registry = std::sync::Arc::new(MetricsRegistry::new());
     let fault_seed = derive_seed(synth.seed ^ params.fault_seed, 5);
 
     let mut re_attempts = 0;

@@ -353,6 +353,41 @@ struct EventBuffer {
     events: Vec<EventRecord>,
 }
 
+/// Full-capacity event buffers of dropped registries, cleared, for the
+/// next registry that stores an event.
+///
+/// A buffer is reserved whole, once, when its registry stores its first
+/// event — one allocation instead of ~16 doublings, each a copy that
+/// leaves the previous chunk behind. That first event comes from
+/// whichever worker thread gets there first, so successive run
+/// registries would reserve in different allocator arenas, and a freed
+/// buffer's memory would not serve the next one: peak memory would grow
+/// with the number of runs a process makes. Recycling the buffers here
+/// bounds it by the number of registries alive at once.
+static SPARE_EVENT_BUFFERS: Mutex<Vec<Vec<EventRecord>>> = Mutex::new(Vec::new());
+
+impl EventBuffer {
+    /// An empty buffer with room for [`EVENT_CAPACITY`] events.
+    fn reserve() -> Vec<EventRecord> {
+        let spare = SPARE_EVENT_BUFFERS.lock().ok().and_then(|mut spare| spare.pop());
+        spare.unwrap_or_else(|| Vec::with_capacity(EVENT_CAPACITY))
+    }
+}
+
+impl Drop for EventBuffer {
+    fn drop(&mut self) {
+        if self.events.capacity() != EVENT_CAPACITY {
+            return;
+        }
+        // A poisoned list just stops recycling; a drop must not panic.
+        if let Ok(mut spare) = SPARE_EVENT_BUFFERS.lock() {
+            let mut events = std::mem::take(&mut self.events);
+            events.clear();
+            spare.push(events);
+        }
+    }
+}
+
 /// The central sink all layers report into.
 ///
 /// Construction is cheap; the simulator gives every `Module` a private
@@ -465,6 +500,9 @@ impl MetricsRegistry {
         if buffer.events.len() >= EVENT_CAPACITY {
             self.events_full.store(true, Ordering::Relaxed);
             return false;
+        }
+        if buffer.events.capacity() == 0 {
+            buffer.events = EventBuffer::reserve();
         }
         buffer.events.push(EventRecord::new(kind, t_sim, fields));
         if buffer.events.len() >= EVENT_CAPACITY {
@@ -619,6 +657,20 @@ mod tests {
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].kind, "dram.bit_flip");
         assert_eq!(events[0].fields(), &[("bank", 1), ("row", 42)]);
+    }
+
+    #[test]
+    fn recycled_event_buffers_start_empty() {
+        for round in 0..4 {
+            let registry = MetricsRegistry::shared();
+            for t in 0..=round {
+                registry.event("dram.bit_flip", t, &[("round", round)]);
+            }
+            let (events, _) = registry.events_snapshot();
+            assert_eq!(events.len() as u64, round + 1, "round {round} sees only its own events");
+            assert!(events.iter().all(|e| e.fields() == [("round", round)]));
+            assert_eq!(registry.events.lock().unwrap().events.capacity(), EVENT_CAPACITY);
+        }
     }
 
     #[test]

@@ -54,21 +54,25 @@ impl CounterTrrConfig {
     }
 }
 
-/// One counter-table entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Entry {
-    row: PhysRow,
-    count: u64,
-    /// Activation sequence number of the row's most recent activation,
-    /// for LRU eviction.
-    last_used: u64,
-}
-
 /// Per-bank table state: fixed slots so the `TREF_b` pointer walk is
 /// stable under replacement.
+///
+/// Struct-of-arrays: slot `i` is `(rows[i], counts[i], last_used[i])`.
+/// Slots fill in order and never empty again (only a reset rebuilds
+/// the table), so the occupied slots are exactly `0..rows.len()` and
+/// "the first empty slot" is always slot `rows.len()`. Lookups and the
+/// `TREF_a` and LRU scans therefore run over plain arrays with no
+/// occupancy test, branch-free over the whole occupied prefix.
 #[derive(Debug, Clone, Default)]
 struct BankTable {
-    slots: Vec<Option<Entry>>,
+    rows: Vec<u32>,
+    counts: Vec<u64>,
+    /// Activation sequence number of each row's most recent
+    /// activation, for LRU eviction. Every insertion advances the
+    /// sequence by at least one, so occupied slots hold distinct values.
+    last_used: Vec<u64>,
+    /// Slot count (Observation A4: 16).
+    capacity: usize,
     /// `TREF_b` walk pointer (slot index).
     pointer: usize,
     /// Per-bank activation sequence counter.
@@ -77,17 +81,38 @@ struct BankTable {
 
 impl BankTable {
     fn with_capacity(capacity: usize) -> Self {
-        BankTable { slots: vec![None; capacity], pointer: 0, seq: 0 }
+        BankTable {
+            rows: Vec::with_capacity(capacity),
+            counts: Vec::with_capacity(capacity),
+            last_used: Vec::with_capacity(capacity),
+            capacity,
+            pointer: 0,
+            seq: 0,
+        }
     }
 
+    /// Whether no slot is occupied.
+    #[inline]
+    fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
+    /// The slot holding `row`, if it is resident.
+    #[inline]
     fn position(&self, row: PhysRow) -> Option<usize> {
-        self.slots.iter().position(|s| s.map(|e| e.row) == Some(row))
+        let row = row.index();
+        let mut found = usize::MAX;
+        for (i, &r) in self.rows.iter().enumerate() {
+            found = if r == row { i } else { found };
+        }
+        (found != usize::MAX).then_some(found)
     }
 
     /// Records `count` back-to-back activations of `row`: exactly
     /// equivalent to `count` single activations (the first may insert by
     /// LRU eviction; the rest increment). Returns the entry the
     /// insertion displaced, if any.
+    #[inline]
     fn add(&mut self, row: PhysRow, count: u64) -> Option<PhysRow> {
         if count == 0 {
             return None;
@@ -95,61 +120,76 @@ impl BankTable {
         self.seq += count;
         let seq = self.seq;
         if let Some(i) = self.position(row) {
-            let entry = self.slots[i].as_mut().expect("position() found it");
-            entry.count += count;
-            entry.last_used = seq;
+            self.counts[i] += count;
+            self.last_used[i] = seq;
             return None;
         }
-        let slot = self.free_or_lru_slot();
-        let evicted = self.slots[slot].map(|e| e.row);
-        self.slots[slot] = Some(Entry { row, count, last_used: seq });
-        evicted
-    }
-
-    /// First empty slot, or the slot holding the least-recently-used
-    /// entry.
-    fn free_or_lru_slot(&self) -> usize {
-        if let Some(i) = self.slots.iter().position(Option::is_none) {
-            return i;
+        if self.rows.len() < self.capacity {
+            // The first empty slot.
+            self.rows.push(row.index());
+            self.counts.push(count);
+            self.last_used.push(seq);
+            return None;
         }
-        self.slots
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, s)| s.map(|e| e.last_used))
-            .map(|(i, _)| i)
-            .expect("table has at least one slot")
+        let slot = self.lru_slot();
+        let evicted = PhysRow::new(self.rows[slot]);
+        self.rows[slot] = row.index();
+        self.counts[slot] = count;
+        self.last_used[slot] = seq;
+        Some(evicted)
     }
 
-    /// `TREF_a`: the highest-count entry, if any activity is recorded.
+    /// The slot of the least recently used entry: the minimum of
+    /// `last_used` (distinct over occupied slots, so no ties).
+    #[inline]
+    fn lru_slot(&self) -> usize {
+        let (mut best, mut best_used) = (0, u64::MAX);
+        for (i, &used) in self.last_used.iter().enumerate() {
+            let better = used < best_used;
+            best = if better { i } else { best };
+            best_used = if better { used } else { best_used };
+        }
+        best
+    }
+
+    /// `TREF_a`: the highest-count entry, if any activity is recorded;
+    /// ties go to the last such slot.
     fn detect_max(&mut self) -> Option<PhysRow> {
-        let (idx, entry) = self
-            .slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.map(|e| (i, e)))
-            .max_by_key(|(_, e)| e.count)?;
-        if entry.count == 0 {
+        let (mut best, mut best_count) = (0, 0);
+        for (i, &count) in self.counts.iter().enumerate() {
+            let better = count >= best_count;
+            best = if better { i } else { best };
+            best_count = if better { count } else { best_count };
+        }
+        if best_count == 0 {
             return None;
         }
-        self.slots[idx].as_mut().expect("occupied").count = 0;
-        Some(entry.row)
+        self.counts[best] = 0;
+        Some(PhysRow::new(self.rows[best]))
     }
 
     /// `TREF_b`: the next occupied slot at or after the pointer (detected
     /// even with a zero counter — Observation A7), then advance the
     /// pointer.
     fn detect_pointer(&mut self) -> Option<PhysRow> {
-        let size = self.slots.len();
-        for probe in 0..size {
-            let idx = (self.pointer + probe) % size;
-            if let Some(entry) = &mut self.slots[idx] {
-                let row = entry.row;
-                entry.count = 0;
-                self.pointer = (idx + 1) % size;
-                return Some(row);
-            }
+        if self.is_empty() {
+            return None;
         }
-        None
+        // Occupied slots are a prefix: the walk either lands on the
+        // pointer's slot or wraps around to slot 0.
+        let idx = if self.pointer < self.rows.len() { self.pointer } else { 0 };
+        self.counts[idx] = 0;
+        self.pointer = (idx + 1) % self.capacity;
+        Some(PhysRow::new(self.rows[idx]))
+    }
+
+    /// Occupied entries as `(row, count)`, in slot order.
+    fn entries(&self) -> Vec<(PhysRow, u64)> {
+        self.rows
+            .iter()
+            .zip(&self.counts)
+            .map(|(&row, &count)| (PhysRow::new(row), count))
+            .collect()
     }
 }
 
@@ -203,8 +243,16 @@ impl CounterTrr {
         }
     }
 
+    /// Whether a flight recorder listens (one relaxed load): eviction
+    /// events are built only then.
+    #[inline]
+    fn tracing(&self) -> bool {
+        self.registry.as_ref().is_some_and(|registry| registry.tracing_enabled())
+    }
+
     /// Flight-recorder event for one LRU eviction: `evicted` lost its
     /// slot to `inserted`.
+    #[cold]
     fn trace_eviction(&self, bank: Bank, evicted: PhysRow, inserted: PhysRow, now: Nanos) {
         if let Some(registry) = &self.registry {
             registry.trace(
@@ -236,7 +284,7 @@ impl CounterTrr {
     /// Ground-truth inspection of a bank's occupied entries as
     /// `(row, count)` pairs — test support only.
     pub fn table(&self, bank: Bank) -> Vec<(PhysRow, u64)> {
-        self.banks[bank.index() as usize].slots.iter().flatten().map(|e| (e.row, e.count)).collect()
+        self.banks[bank.index() as usize].entries()
     }
 }
 
@@ -254,7 +302,9 @@ impl MitigationEngine for CounterTrr {
     fn on_activations(&mut self, bank: Bank, row: PhysRow, count: u64, now: Nanos) {
         if let Some(evicted) = self.banks[bank.index() as usize].add(row, count) {
             self.evict_ctr.inc();
-            self.trace_eviction(bank, evicted, row, now);
+            if self.tracing() {
+                self.trace_eviction(bank, evicted, row, now);
+            }
         }
     }
 
@@ -286,6 +336,9 @@ impl MitigationEngine for CounterTrr {
         let evictions = evicted.iter().flatten().count() as u64;
         if evictions > 0 {
             self.evict_ctr.add(evictions);
+            if !self.tracing() {
+                return;
+            }
             for (i, row) in evicted.iter().enumerate() {
                 if let Some(row) = row {
                     let inserted = if i % 2 == 0 { first } else { second };
@@ -305,6 +358,11 @@ impl MitigationEngine for CounterTrr {
         let span = self.config.span;
         let before = out.len();
         for (idx, table) in self.banks.iter_mut().enumerate() {
+            if table.is_empty() {
+                // Nothing to detect: skip the walk (it would not move
+                // the pointer either).
+                continue;
+            }
             let detected = if tref_a { table.detect_max() } else { table.detect_pointer() };
             if let Some(row) = detected {
                 out.push(TrrDetection { bank: Bank::new(idx as u8), aggressor: row, span });
@@ -340,6 +398,173 @@ impl MitigationEngine for CounterTrr {
 
     fn name(&self) -> &str {
         self.name
+    }
+}
+
+#[cfg(test)]
+mod table_model {
+    //! [`BankTable`] against a plain reference model: a slot vector of
+    //! optional entries, each rule written as the iterator chain that
+    //! states it (first empty slot, `min_by_key` for LRU, `max_by_key`
+    //! for `TREF_a`).
+
+    use super::*;
+    use proptest::prelude::*;
+
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    struct Entry {
+        row: PhysRow,
+        count: u64,
+        last_used: u64,
+    }
+
+    #[derive(Debug)]
+    struct ModelTable {
+        slots: Vec<Option<Entry>>,
+        pointer: usize,
+        seq: u64,
+    }
+
+    impl ModelTable {
+        fn new(capacity: usize) -> Self {
+            ModelTable { slots: vec![None; capacity], pointer: 0, seq: 0 }
+        }
+
+        fn add(&mut self, row: PhysRow, count: u64) -> Option<PhysRow> {
+            if count == 0 {
+                return None;
+            }
+            self.seq += count;
+            let seq = self.seq;
+            if let Some(entry) = self.slots.iter_mut().flatten().find(|e| e.row == row) {
+                entry.count += count;
+                entry.last_used = seq;
+                return None;
+            }
+            // First empty slot, else the least recently used entry.
+            let slot = self.slots.iter().position(Option::is_none).unwrap_or_else(|| {
+                self.slots
+                    .iter()
+                    .enumerate()
+                    .min_by_key(|(_, s)| s.map(|e| e.last_used))
+                    .map(|(i, _)| i)
+                    .unwrap()
+            });
+            let evicted = self.slots[slot].map(|e| e.row);
+            self.slots[slot] = Some(Entry { row, count, last_used: seq });
+            evicted
+        }
+
+        /// Highest count; `max_by_key` keeps the last of equal maxima.
+        fn detect_max(&mut self) -> Option<PhysRow> {
+            let (idx, entry) = self
+                .slots
+                .iter()
+                .enumerate()
+                .filter_map(|(i, s)| s.map(|e| (i, e)))
+                .max_by_key(|(_, e)| e.count)?;
+            if entry.count == 0 {
+                return None;
+            }
+            self.slots[idx].as_mut().unwrap().count = 0;
+            Some(entry.row)
+        }
+
+        fn detect_pointer(&mut self) -> Option<PhysRow> {
+            let size = self.slots.len();
+            for probe in 0..size {
+                let idx = (self.pointer + probe) % size;
+                if let Some(entry) = &mut self.slots[idx] {
+                    entry.count = 0;
+                    self.pointer = (idx + 1) % size;
+                    return Some(entry.row);
+                }
+            }
+            None
+        }
+
+        fn entries(&self) -> Vec<(PhysRow, u64)> {
+            self.slots.iter().flatten().map(|e| (e.row, e.count)).collect()
+        }
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        Add(u32, u64),
+        DetectMax,
+        DetectPointer,
+        Reset,
+    }
+
+    /// Mostly insertions of few rows at tiny counts, so residency
+    /// churn, re-insertions and equal counts (the `TREF_a` tie rule) are
+    /// common; detections of both kinds and the odd reset in between.
+    fn op_strategy() -> impl Strategy<Value = Op> {
+        (0u32..16, 0u32..10, 0u64..4).prop_map(|(kind, row, count)| match kind {
+            0..=8 => Op::Add(row, count),
+            9..=11 => Op::DetectMax,
+            12..=14 => Op::DetectPointer,
+            _ => Op::Reset,
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Every operation returns the same row (eviction victim or
+        /// detection) and leaves the same entries in the same slots.
+        #[test]
+        fn bank_table_matches_reference_model(
+            ops in prop::collection::vec(op_strategy(), 1..120),
+            capacity in 2usize..7,
+        ) {
+            let mut table = BankTable::with_capacity(capacity);
+            let mut model = ModelTable::new(capacity);
+            for (step, op) in ops.iter().enumerate() {
+                let (got, want) = match *op {
+                    Op::Add(row, count) => {
+                        (table.add(PhysRow::new(row), count), model.add(PhysRow::new(row), count))
+                    }
+                    Op::DetectMax => (table.detect_max(), model.detect_max()),
+                    Op::DetectPointer => (table.detect_pointer(), model.detect_pointer()),
+                    Op::Reset => {
+                        table = BankTable::with_capacity(capacity);
+                        model = ModelTable::new(capacity);
+                        (None, None)
+                    }
+                };
+                prop_assert_eq!(got, want, "step {} ({:?}) diverged", step, op);
+                prop_assert_eq!(table.entries(), model.entries(), "slots after step {}", step);
+                prop_assert_eq!(table.pointer, model.pointer);
+            }
+        }
+    }
+
+    #[test]
+    fn detect_max_ties_go_to_the_last_slot() {
+        let mut table = BankTable::with_capacity(4);
+        for row in [7, 3, 9] {
+            table.add(PhysRow::new(row), 5);
+        }
+        assert_eq!(table.detect_max(), Some(PhysRow::new(9)));
+        assert_eq!(table.detect_max(), Some(PhysRow::new(3)));
+        assert_eq!(table.detect_max(), Some(PhysRow::new(7)));
+        assert_eq!(table.detect_max(), None, "all counters reset");
+    }
+
+    #[test]
+    fn insertion_takes_the_first_empty_slot_then_the_lru_entry() {
+        let mut table = BankTable::with_capacity(3);
+        assert_eq!(table.add(PhysRow::new(1), 1), None);
+        assert_eq!(table.add(PhysRow::new(2), 1), None);
+        assert_eq!(table.add(PhysRow::new(3), 1), None);
+        // Row 1 is refreshed in recency, so row 2 is now the LRU entry.
+        assert_eq!(table.add(PhysRow::new(1), 1), None);
+        assert_eq!(table.add(PhysRow::new(4), 1), Some(PhysRow::new(2)));
+        assert_eq!(
+            table.entries(),
+            vec![(PhysRow::new(1), 2), (PhysRow::new(4), 1), (PhysRow::new(3), 1)]
+        );
     }
 }
 
