@@ -8,35 +8,12 @@
 //!                  [--metrics-out PATH] [--trace-out PATH] [--trace-chrome PATH]
 //!                  [--trace-rows SPEC]
 
-use std::sync::Arc;
-
 use attacks::baseline::DoubleSided;
 use attacks::custom::VendorAPattern;
-use attacks::eval::{sweep_bank_module, EvalConfig};
+use attacks::eval::sweep_bank_module;
 use dram_sim::{Bank, DataPattern, Module, RowAddr};
-use faults::FaultProfile;
-use obs::MetricsRegistry;
-use utrr_bench::{
-    arg_value, emit_metrics, emit_trace, fault_args, install_trace, metrics_out_path, par_config,
-    run_registry, threads_arg, trace_args,
-};
+use utrr_bench::RunContext;
 use utrr_modules::by_id;
-
-fn config(
-    samples: u32,
-    rows: u32,
-    registry: &Arc<MetricsRegistry>,
-    faults: (FaultProfile, u64),
-) -> EvalConfig {
-    EvalConfig {
-        sample_count: samples,
-        scaled_rows: Some(rows),
-        registry: Some(Arc::clone(registry)),
-        fault_profile: faults.0,
-        fault_seed: faults.1,
-        ..EvalConfig::quick(samples)
-    }
-}
 
 /// Ablation 1 — same-row discount: without it, cascaded hammering is as
 /// disruptive as interleaved, erasing the §5.2 asymmetry.
@@ -111,12 +88,10 @@ fn ablate_dummy_pressure(
     spec: &utrr_modules::ModuleSpec,
     samples: u32,
     rows: u32,
-    registry: &Arc<MetricsRegistry>,
-    pool: &par::ParConfig,
-    faults: (FaultProfile, u64),
+    ctx: &RunContext,
 ) {
     println!("## Ablation: dummy-row pressure in the vendor-A custom pattern (Fig. 8 trade-off)");
-    let cfg = config(samples, rows, registry, faults);
+    let cfg = ctx.eval_config(samples, 2, rows);
     let variants = [
         ("paper optimum (24 hammers + 16 dummies)", VendorAPattern::paper_optimum()),
         (
@@ -131,7 +106,7 @@ fn ablate_dummy_pressure(
     ];
     // Each variant sweeps its own freshly built module — one pool task
     // per variant, printed in declaration order.
-    let sweeps = par::par_map(pool, &variants, |(_, pattern)| {
+    let sweeps = par::par_map(&ctx.pool, &variants, |(_, pattern)| {
         sweep_bank_module(spec.build_scaled(rows, 5), pattern, &cfg)
     });
     for ((label, _), sweep) in variants.iter().zip(&sweeps) {
@@ -148,21 +123,14 @@ fn ablate_dummy_pressure(
 
 /// Ablation 4 — the baseline contrast: TRR stops double-sided hammering
 /// entirely; removing TRR restores it.
-fn ablate_trr_presence(
-    spec: &utrr_modules::ModuleSpec,
-    samples: u32,
-    rows: u32,
-    registry: &Arc<MetricsRegistry>,
-    pool: &par::ParConfig,
-    faults: (FaultProfile, u64),
-) {
+fn ablate_trr_presence(spec: &utrr_modules::ModuleSpec, samples: u32, rows: u32, ctx: &RunContext) {
     println!("## Ablation: TRR presence (footnote 18 baseline contrast)");
-    let cfg = config(samples, rows, registry, faults);
+    let cfg = ctx.eval_config(samples, 2, rows);
     let pattern = DoubleSided::max_rate();
     // Both arms build their own module inside the task (the engine is
     // not Send), so the two sweeps run concurrently.
     let arms = [true, false];
-    let sweeps = par::par_map(pool, &arms, |&trr| {
+    let sweeps = par::par_map(&ctx.pool, &arms, |&trr| {
         if trr {
             sweep_bank_module(spec.build_scaled(rows, 5), &pattern, &cfg)
         } else {
@@ -181,26 +149,17 @@ fn ablate_trr_presence(
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let rows: u32 = arg_value(&args, "--rows").and_then(|v| v.parse().ok()).unwrap_or(2_048);
-    let samples: u32 = arg_value(&args, "--samples").and_then(|v| v.parse().ok()).unwrap_or(24);
-    let metrics_path = metrics_out_path(&args);
-    let faults = fault_args(&args);
-    let trace = trace_args(&args);
-    let registry = run_registry();
-    install_trace(&registry, &trace);
-    let pool = par_config(threads_arg(&args), &registry);
+    let ctx = RunContext::from_env();
+    let rows: u32 = ctx.num("--rows").unwrap_or(2_048);
+    let samples: u32 = ctx.num("--samples").unwrap_or(24);
     let spec = by_id("A5").expect("catalog contains A5");
     println!("# Simulator design-choice ablations (module A5 unless noted)");
-    if faults.0 != FaultProfile::None {
-        println!("# fault injection: {} profile, seed {}", faults.0, faults.1);
-    }
+    ctx.print_fault_banner();
     println!();
     ablate_same_row_discount(&spec, rows);
     ablate_blast_radius(&spec, rows);
-    ablate_dummy_pressure(&spec, samples, rows, &registry, &pool, faults);
-    ablate_trr_presence(&spec, samples, rows, &registry, &pool, faults);
+    ablate_dummy_pressure(&spec, samples, rows, &ctx);
+    ablate_trr_presence(&spec, samples, rows, &ctx);
 
-    emit_trace(&registry, &trace).expect("trace artifact is writable");
-    emit_metrics(&registry, metrics_path.as_deref()).expect("metrics artifact is writable");
+    ctx.finish(None);
 }

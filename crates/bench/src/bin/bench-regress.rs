@@ -30,7 +30,7 @@
 //! Exits 1 on regression, 2 on malformed input, 0 otherwise.
 
 use obs::jsonl::{parse_json, JsonValue};
-use utrr_bench::{arg_flag, arg_value};
+use utrr_bench::Args;
 
 struct BenchRecord {
     threads: usize,
@@ -121,18 +121,14 @@ fn load_current(spec: &str) -> (BenchRecord, String) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(current_path) = arg_value(&args, "--current") else {
+    let args = Args::from_env();
+    let Some(current_path) = args.value("--current") else {
         eprintln!("usage: bench-regress --current PATH[,PATH...] [--baseline PATH] [--threshold PCT] [--history PATH] [--update-baseline]");
         std::process::exit(2);
     };
-    let update_baseline = arg_flag(&args, "--update-baseline");
-    let baseline_path =
-        arg_value(&args, "--baseline").unwrap_or_else(|| "BENCH_sweep.json".to_string());
-    let threshold: f64 = arg_value(&args, "--threshold")
-        .or_else(|| std::env::var("UTRR_BENCH_THRESHOLD").ok())
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(15.0);
+    let update_baseline = args.flag("--update-baseline");
+    let baseline_path = args.value("--baseline").unwrap_or_else(|| "BENCH_sweep.json".to_string());
+    let threshold: f64 = args.num("--threshold").unwrap_or(15.0);
 
     let baseline = load(&baseline_path);
     let (current, current_artifact) = load_current(&current_path);
@@ -204,7 +200,8 @@ fn main() {
         println!("# {warnings} coverage warning(s) — see stderr");
     }
 
-    let history_path = arg_value(&args, "--history")
+    let history_path = args
+        .value("--history")
         .or_else(|| update_baseline.then(|| "BENCH_history.jsonl".to_string()));
     if let Some(history_path) = history_path {
         let mut record = String::from(current_artifact.trim());

@@ -7,53 +7,24 @@
 //!                   [--metrics-out PATH] [--trace-out PATH] [--trace-chrome PATH]
 //!                   [--trace-rows SPEC]
 
-use attacks::eval::EvalConfig;
-use faults::FaultProfile;
-use utrr_bench::{
-    arg_value, attack_columns_par, emit_metrics, emit_trace, fault_args, install_trace,
-    metrics_out_path, par_config, run_registry, threads_arg, trace_args,
-};
-use utrr_modules::{catalog, ModuleSpec};
+use utrr_bench::{attack_columns_par, RunContext};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let rows: u32 = arg_value(&args, "--rows").and_then(|v| v.parse().ok()).unwrap_or(2_048);
-    let samples: u32 = arg_value(&args, "--samples").and_then(|v| v.parse().ok()).unwrap_or(48);
-    let windows: u32 = arg_value(&args, "--windows").and_then(|v| v.parse().ok()).unwrap_or(2);
-    let filter = arg_value(&args, "--modules");
-    let metrics_path = metrics_out_path(&args);
-    let (fault_profile, fault_seed) = fault_args(&args);
-    let trace = trace_args(&args);
-    let registry = run_registry();
-    install_trace(&registry, &trace);
-    let pool = par_config(threads_arg(&args), &registry);
-    let config = EvalConfig {
-        sample_count: samples,
-        windows,
-        scaled_rows: Some(rows),
-        registry: Some(std::sync::Arc::clone(&registry)),
-        fault_profile,
-        fault_seed,
-        ..EvalConfig::quick(samples)
-    };
+    let ctx = RunContext::from_env();
+    let rows: u32 = ctx.num("--rows").unwrap_or(2_048);
+    let samples: u32 = ctx.num("--samples").unwrap_or(48);
+    let windows: u32 = ctx.num("--windows").unwrap_or(2);
+    let config = ctx.eval_config(samples, windows, rows);
 
     println!("# Fig. 9 reproduction — % vulnerable DRAM rows per module");
     println!("# ({samples} sampled victim positions per bank, {rows} rows/bank, {windows} refresh windows)");
-    if fault_profile != FaultProfile::None {
-        println!("# fault injection: {fault_profile} profile, seed {fault_seed}");
-    }
+    ctx.print_fault_banner();
     println!();
     println!("  module  version    measured   paper        0%        50%       100%");
 
-    let modules: Vec<ModuleSpec> = catalog()
-        .into_iter()
-        .filter(|spec| match &filter {
-            Some(list) => list.split(',').any(|id| id == spec.id),
-            None => true,
-        })
-        .collect();
+    let modules = ctx.modules();
     // One worker-pool task per module; rows print in catalog order.
-    let sweeps = attack_columns_par(&modules, &config, &pool);
+    let sweeps = attack_columns_par(&modules, &config, &ctx.pool);
 
     let mut fully_vulnerable = 0u32;
     let mut total = 0u32;
@@ -79,6 +50,5 @@ fn main() {
         "# {fully_vulnerable}/{total} modules above 99% (paper: 21 of 45 above 99.9%); every module shows bit flips"
     );
 
-    emit_trace(&registry, &trace).expect("trace artifact is writable");
-    emit_metrics(&registry, metrics_path.as_deref()).expect("metrics artifact is writable");
+    ctx.finish(None);
 }

@@ -25,19 +25,17 @@
 
 use std::collections::HashMap;
 
-use attacks::eval::{BankSweep, EvalConfig};
+use attacks::eval::BankSweep;
 use faults::FaultProfile;
 use utrr_bench::{
-    arg_flag, arg_value, attack_columns, detection_label, device_ns_per_act, emit_metrics,
-    emit_trace, fault_args, install_trace, measure_hc_first_faulty, metrics_out_path, par_config,
-    re_input_key, reverse_engineer_module_resilient, run_registry, threads_arg, trace_args,
-    BenchPhases, ReOutcome,
+    attack_columns, detection_label, device_ns_per_act, measure_hc_first, re_input_key,
+    reverse_engineer_with_retries, BenchPhases, ReOutcome, RunContext,
 };
-use utrr_modules::{catalog, ModuleSpec};
+use utrr_modules::ModuleSpec;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let rows: u32 = arg_value(&args, "--rows").and_then(|v| v.parse().ok()).unwrap_or(2_048);
+    let ctx = RunContext::from_env();
+    let rows: u32 = ctx.num("--rows").unwrap_or(2_048);
     // Row Scout needs space for 18 pair groups plus the neighbour probe.
     let rows = if rows < 1_024 {
         eprintln!("note: --rows {rows} is too small for the reverse-engineering suite; using 1024");
@@ -45,33 +43,16 @@ fn main() {
     } else {
         rows
     };
-    let samples: u32 = arg_value(&args, "--samples").and_then(|v| v.parse().ok()).unwrap_or(48);
-    let windows: u32 = arg_value(&args, "--windows").and_then(|v| v.parse().ok()).unwrap_or(2);
-    let filter = arg_value(&args, "--modules");
-    let per_module_re = arg_flag(&args, "--per-module-re");
-    let attack_only = arg_flag(&args, "--attack-only");
-    let metrics_path = metrics_out_path(&args);
-    let bench_path = arg_value(&args, "--bench-out").map(std::path::PathBuf::from);
-    let (fault_profile, fault_seed) = fault_args(&args);
-    let trace = trace_args(&args);
-    let threads = threads_arg(&args);
-    let registry = run_registry();
-    install_trace(&registry, &trace);
-    let pool = par_config(threads, &registry);
-    let mut bench = BenchPhases::new(threads);
-
-    let modules: Vec<ModuleSpec> = catalog()
-        .into_iter()
-        .filter(|m| match &filter {
-            Some(list) => list.split(',').any(|id| id == m.id),
-            None => true,
-        })
-        .collect();
+    let samples: u32 = ctx.num("--samples").unwrap_or(48);
+    let windows: u32 = ctx.num("--windows").unwrap_or(2);
+    let per_module_re = ctx.flag("--per-module-re");
+    let attack_only = ctx.flag("--attack-only");
+    let pool = &ctx.pool;
+    let mut bench = BenchPhases::new(ctx.threads);
+    let modules = ctx.modules();
 
     println!("# Table 1 reproduction — {} modules, {rows} rows/bank (scaled), {samples} victim samples, {windows} refresh windows", modules.len());
-    if fault_profile != FaultProfile::None {
-        println!("# fault injection: {fault_profile} profile, seed {fault_seed}");
-    }
+    ctx.print_fault_banner();
     println!();
     println!("## Reverse-engineering columns (U-TRR findings vs planted ground truth)");
     println!();
@@ -101,15 +82,9 @@ fn main() {
             }
         }
         let outcomes: Vec<Option<ReOutcome>> = bench.time("reverse_engineering", || {
-            par::par_map(&pool, &unique, |(_, spec)| {
-                reverse_engineer_module_resilient(
-                    spec,
-                    rows,
-                    7,
-                    Some(&registry),
-                    fault_profile,
-                    fault_seed,
-                )
+            let substrate = ctx.substrate(rows);
+            par::par_map(pool, &unique, |(_, spec)| {
+                reverse_engineer_with_retries(spec, &substrate, |a| 7 + 97 * u64::from(a)).0
             })
         });
         let re_cache: HashMap<&str, &Option<ReOutcome>> = unique
@@ -117,7 +92,7 @@ fn main() {
             .zip(outcomes.iter())
             .map(|((key, _), outcome)| (key.as_str(), outcome))
             .collect();
-        let hostile = fault_profile == FaultProfile::Hostile;
+        let hostile = ctx.fault_profile == FaultProfile::Hostile;
         let mut tiers = [0u64; 3];
         for spec in &modules {
             match re_cache[key_of(spec).as_str()] {
@@ -188,29 +163,14 @@ fn main() {
         "| Module | HC_first measured (Table 1) | % vulnerable (paper) | max flips/row/hammer (paper) | max flips/word |"
     );
     println!("|---|---|---|---|---|");
-    let config = EvalConfig {
-        sample_count: samples,
-        windows,
-        scaled_rows: Some(rows),
-        registry: Some(std::sync::Arc::clone(&registry)),
-        fault_profile,
-        fault_seed,
-        ..EvalConfig::quick(samples)
-    };
+    let config = ctx.eval_config(samples, windows, rows);
+    let hc_substrate = ctx.substrate(rows.min(2_048));
     // One task per module: each measures HC_first and runs the attack
     // sweep on its own freshly built module, then the rows are printed
     // in catalog order.
     let results: Vec<(u64, BankSweep)> = bench.time("attack_columns", || {
-        par::par_map(&pool, &modules, |spec| {
-            let hc = measure_hc_first_faulty(
-                spec,
-                rows.min(2_048),
-                48,
-                11,
-                Some(&registry),
-                fault_profile,
-                fault_seed,
-            );
+        par::par_map(pool, &modules, |spec| {
+            let hc = measure_hc_first(spec, 48, 11, &hc_substrate);
             let sweep = attack_columns(spec, &config);
             (hc, sweep)
         })
@@ -231,14 +191,11 @@ fn main() {
         );
     }
 
-    if let Some(path) = &bench_path {
+    if ctx.value("--bench-out").is_some() {
         let ns_per_act = bench.time("device_microbench", device_ns_per_act);
         bench.scalar("device_ns_per_act", ns_per_act);
         bench.scalar("refs_per_sec", utrr_bench::refs_per_sec());
         bench.scalar("weak_scan_ns_per_row", utrr_bench::weak_scan_ns_per_row());
-        bench.write(path).expect("bench artifact is writable");
-        eprintln!("bench artifact: {}", path.display());
     }
-    emit_trace(&registry, &trace).expect("trace artifact is writable");
-    emit_metrics(&registry, metrics_path.as_deref()).expect("metrics artifact is writable");
+    ctx.finish(Some(&bench));
 }

@@ -16,7 +16,7 @@ use std::collections::{BTreeSet, HashMap};
 use std::fmt::Write as _;
 
 use obs::{TraceEvent, TraceFilter, TraceKind};
-use utrr_bench::arg_value;
+use utrr_bench::Args;
 
 /// Prints an accumulated report, ignoring broken pipes (`… | head`).
 fn flush_report(report: &str) {
@@ -73,14 +73,9 @@ fn render_event(report: &mut String, event: &TraceEvent, marker: &str) {
     let _ = writeln!(report, "{}", line.trim_end());
 }
 
-fn explain(path: &str, args: &[String]) {
-    let row_filter: Option<u32> = arg_value(args, "--row").map(|v| {
-        v.parse().unwrap_or_else(|_| {
-            eprintln!("error: --row expects a physical row index");
-            std::process::exit(2);
-        })
-    });
-    let limit: usize = arg_value(args, "--limit").and_then(|v| v.parse().ok()).unwrap_or(20);
+fn explain(path: &str, args: &Args) {
+    let row_filter: Option<u32> = args.num("--row");
+    let limit: usize = args.num("--limit").unwrap_or(20);
 
     let (events, dropped) = load(path);
     let mut report = String::new();
@@ -161,7 +156,7 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("explain") => match args.get(1) {
-            Some(path) => explain(path, &args[2..]),
+            Some(path) => explain(path, &Args::new(&args[2..])),
             None => usage(),
         },
         Some("chrome") => match (args.get(1), args.get(2)) {

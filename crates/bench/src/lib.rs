@@ -10,6 +10,14 @@
 //! | `repro-fig9`  | Fig. 9 — % vulnerable rows for all 45 modules |
 //! | `repro-fig10` | Fig. 10 — flips-per-8-byte-dataword histograms (+ §7.4 ECC verdicts) |
 //! | `ablations`   | DESIGN.md §6 — outcome sensitivity to simulator design choices |
+//!
+//! The §6 characterisation pipeline runs through one entry point per
+//! measurement — [`reverse_engineer`] (behind
+//! [`reverse_engineer_with_retries`]) and [`measure_hc_first`] — on a
+//! [`Substrate`]; every binary reads its flags through one
+//! [`RunContext`].
+
+use std::sync::Arc;
 
 use attacks::custom;
 use attacks::eval::{sweep_bank, BankSweep, EvalConfig};
@@ -17,11 +25,13 @@ use dram_sim::{Bank, Module, ModuleConfig, Nanos, RowAddr};
 use faults::FaultProfile;
 use softmc::{MemoryController, RecoveryLadder};
 use utrr_core::reverse::{self, DetectionKind, ReverseOptions, TrrProfile};
-use utrr_core::schedule::{learn_group_schedules, learn_refresh_schedule};
-use utrr_core::{
-    ProfiledRowGroup, RowGroupLayout, RowScout, ScoutConfig, TrrAnalyzer, VerdictTier,
-};
+use utrr_core::schedule::learn_refresh_schedule;
+use utrr_core::{RowGroupLayout, RowScout, ScoutConfig, VerdictTier};
 use utrr_modules::ModuleSpec;
+
+mod run;
+
+pub use run::{Args, RunContext};
 
 /// Per-phase ACT budget the hostile profile arms on every `discover_*`
 /// phase ([`ReverseOptions::phase_act_budget`]): far above what any
@@ -83,126 +93,63 @@ impl ReMatches {
     }
 }
 
-/// Runs the full §6 reverse-engineering suite against a module built
-/// from its spec (at a scaled geometry) and compares the findings with
-/// the planted ground truth.
-///
-/// # Panics
-///
-/// Panics when Row Scout cannot find the required row groups — the
-/// scaled geometry below 1024 rows is too small for that.
-pub fn reverse_engineer_module(spec: &ModuleSpec, rows: u32, seed: u64) -> ReOutcome {
-    reverse_engineer_module_with(spec, rows, seed, None)
+/// What a characterisation runs on: the scaled geometry, the registry
+/// its spans and counters land in, and the fault plan installed into
+/// its controller. [`RunContext::substrate`] builds the run's one.
+#[derive(Clone, Copy)]
+pub struct Substrate<'a> {
+    /// Scaled rows per bank of every module built.
+    pub rows: u32,
+    /// Registry attached to every module built; `None` keeps each
+    /// module's private one.
+    pub registry: Option<&'a Arc<obs::MetricsRegistry>>,
+    /// Fault profile installed into every controller.
+    /// [`FaultProfile::None`] installs nothing, so the command stream is
+    /// bit-identical to a build without the fault layer.
+    pub fault_profile: FaultProfile,
+    /// Seed of the deterministic fault plan.
+    pub fault_seed: u64,
 }
 
-/// [`reverse_engineer_module`] with an optional shared metrics registry
-/// attached to the module under test, so the suite's Row Scout and TRR
-/// Analyzer spans land in the run artifact.
-///
-/// # Panics
-///
-/// Panics when Row Scout cannot find the required row groups.
-pub fn reverse_engineer_module_with(
-    spec: &ModuleSpec,
-    rows: u32,
-    seed: u64,
-    registry: Option<&std::sync::Arc<obs::MetricsRegistry>>,
-) -> ReOutcome {
-    reverse_engineer_module_faulty(spec, rows, seed, registry, FaultProfile::None, 0)
-}
+impl Substrate<'_> {
+    /// A fault-free substrate of `rows` rows per bank with no shared
+    /// registry.
+    pub fn clean(rows: u32) -> Self {
+        Substrate { rows, registry: None, fault_profile: FaultProfile::None, fault_seed: 0 }
+    }
 
-/// [`reverse_engineer_module_with`] against a faulty substrate: installs
-/// the deterministic fault plan for `(fault_profile, fault_seed)` into
-/// the controller before the suite runs. Under [`FaultProfile::None`]
-/// nothing is installed and the run is bit-identical to
-/// [`reverse_engineer_module_with`].
-///
-/// # Panics
-///
-/// Panics when Row Scout cannot find the required row groups — expected
-/// under [`FaultProfile::Hostile`], where only graceful degradation (not
-/// correctness) is promised.
-pub fn reverse_engineer_module_faulty(
-    spec: &ModuleSpec,
-    rows: u32,
-    seed: u64,
-    registry: Option<&std::sync::Arc<obs::MetricsRegistry>>,
-    fault_profile: FaultProfile,
-    fault_seed: u64,
-) -> ReOutcome {
-    try_reverse_engineer_module_faulty(spec, rows, seed, registry, fault_profile, fault_seed)
-        .unwrap_or_else(|e| panic!("reverse-engineering {}: {e}", spec.id))
-}
-
-/// Experiment-seed retry budget for
-/// [`reverse_engineer_module_resilient`].
-pub const RE_BIN_ATTEMPTS: u64 = 4;
-
-/// [`try_reverse_engineer_module_faulty`] behind the repro binaries'
-/// retry ladder: up to [`RE_BIN_ATTEMPTS`] deterministic experiment
-/// seeds (the first is `seed` itself, so sub-hostile runs are
-/// bit-identical to the panicking wrapper). Under
-/// [`FaultProfile::Hostile`] an exhausted ladder returns `None` — the
-/// caller records the module inconclusive and the run continues.
-///
-/// # Panics
-///
-/// Panics on exhaustion below hostile severity, where a failed suite is
-/// a regression, exactly like [`reverse_engineer_module_faulty`].
-pub fn reverse_engineer_module_resilient(
-    spec: &ModuleSpec,
-    rows: u32,
-    seed: u64,
-    registry: Option<&std::sync::Arc<obs::MetricsRegistry>>,
-    fault_profile: FaultProfile,
-    fault_seed: u64,
-) -> Option<ReOutcome> {
-    let mut last = None;
-    for attempt in 0..RE_BIN_ATTEMPTS {
-        match try_reverse_engineer_module_faulty(
-            spec,
-            rows,
-            seed + 97 * attempt,
-            registry,
-            fault_profile,
-            fault_seed,
-        ) {
-            Ok(re) => return Some(re),
-            Err(e) => last = Some(e),
+    /// Builds `spec` at this geometry from `seed`, attaches the
+    /// registry, and wraps it in a controller with the fault plan
+    /// installed.
+    fn controller(&self, spec: &ModuleSpec, seed: u64) -> MemoryController {
+        let mut module = spec.build_scaled(self.rows, seed);
+        if let Some(registry) = self.registry {
+            module.attach_registry(Arc::clone(registry));
         }
-    }
-    if fault_profile == FaultProfile::Hostile {
-        None
-    } else {
-        panic!("reverse-engineering {}: {}", spec.id, last.expect("at least one attempt ran"))
+        let mut mc = MemoryController::new(module);
+        faults::install(&mut mc, self.fault_profile, self.fault_seed);
+        mc
     }
 }
 
-/// The fallible core of [`reverse_engineer_module_faulty`]: identical
-/// pipeline, but scout shortfalls and non-converging measurements come
-/// back as errors instead of panics. Sweeps over arbitrary seeds (the
-/// fleet executor) retry with a different experiment seed on `Err`;
-/// the fixed-seed repro binaries keep the panicking wrapper.
+/// Runs the full §6 reverse-engineering suite (Row Scout, TRR Analyzer,
+/// refresh-schedule learning) against a module built from its spec on
+/// `substrate`, and compares the findings with the planted ground truth.
 ///
 /// # Errors
 ///
 /// Propagates the first [`utrr_core::UtrrError`] of the suite: not
-/// enough row groups, failed classification experiments, or a
-/// non-converging refresh-schedule learner.
-pub fn try_reverse_engineer_module_faulty(
+/// enough row groups (the scaled geometry below 1024 rows is too small
+/// for them), failed classification experiments, or a non-converging
+/// refresh-schedule learner. [`reverse_engineer_with_retries`] retries
+/// such a module on fresh experiment seeds.
+pub fn reverse_engineer(
     spec: &ModuleSpec,
-    rows: u32,
     seed: u64,
-    registry: Option<&std::sync::Arc<obs::MetricsRegistry>>,
-    fault_profile: FaultProfile,
-    fault_seed: u64,
+    substrate: &Substrate<'_>,
 ) -> Result<ReOutcome, utrr_core::UtrrError> {
-    let mut module = spec.build_scaled(rows, seed);
-    if let Some(registry) = registry {
-        module.attach_registry(std::sync::Arc::clone(registry));
-    }
-    let mut mc = MemoryController::new(module);
-    faults::install(&mut mc, fault_profile, fault_seed);
+    let rows = substrate.rows;
+    let mut mc = substrate.controller(spec, seed);
     // Hostile severity unlocks the recovery ladder; arm its circuit
     // breakers. Below that, every budget stays `None` and the command
     // stream is exactly the pre-ladder one.
@@ -285,50 +232,58 @@ pub fn try_reverse_engineer_module_faulty(
     })
 }
 
-/// Measures `HC_first` (footnote 1) on a module built from its spec,
-/// delegating to [`utrr_core::measure_hc_first`].
-pub fn measure_hc_first(spec: &ModuleSpec, rows: u32, samples: u32, seed: u64) -> u64 {
-    measure_hc_first_with(spec, rows, samples, seed, None)
-}
+/// Experiment-seed budget of [`reverse_engineer_with_retries`].
+pub const RE_ATTEMPTS: u32 = 4;
 
-/// [`measure_hc_first`] with an optional shared metrics registry
-/// attached to the module under test.
+/// [`reverse_engineer`] behind the retry ladder: attempt `a` (counting
+/// from 0) runs on experiment seed `seed_of(a)`, for up to
+/// [`RE_ATTEMPTS`] attempts. Returns the outcome and the attempts used.
+///
+/// On arbitrary seeds a few percent of modules draw a weak-cell
+/// population the scout or the schedule learner cannot converge on; a
+/// fresh experiment seed recovers them. Under [`FaultProfile::Hostile`]
+/// an exhausted ladder returns `None`: the caller records the module
+/// inconclusive and the run continues.
 ///
 /// # Panics
 ///
-/// Panics when the characterization cannot run on the built bank.
-pub fn measure_hc_first_with(
+/// Panics on exhaustion below hostile severity, where a failed suite is
+/// a regression.
+pub fn reverse_engineer_with_retries(
     spec: &ModuleSpec,
-    rows: u32,
-    samples: u32,
-    seed: u64,
-    registry: Option<&std::sync::Arc<obs::MetricsRegistry>>,
-) -> u64 {
-    measure_hc_first_faulty(spec, rows, samples, seed, registry, FaultProfile::None, 0)
-}
-
-/// [`measure_hc_first_with`] against a faulty substrate; under
-/// [`FaultProfile::None`] nothing is installed and the measurement is
-/// bit-identical to [`measure_hc_first_with`].
-///
-/// # Panics
-///
-/// Panics when the characterization cannot run on the built bank.
-pub fn measure_hc_first_faulty(
-    spec: &ModuleSpec,
-    rows: u32,
-    samples: u32,
-    seed: u64,
-    registry: Option<&std::sync::Arc<obs::MetricsRegistry>>,
-    fault_profile: FaultProfile,
-    fault_seed: u64,
-) -> u64 {
-    let mut module = spec.build_scaled(rows, seed);
-    if let Some(registry) = registry {
-        module.attach_registry(std::sync::Arc::clone(registry));
+    substrate: &Substrate<'_>,
+    seed_of: impl Fn(u32) -> u64,
+) -> (Option<ReOutcome>, u32) {
+    let mut last = None;
+    for attempt in 0..RE_ATTEMPTS {
+        match reverse_engineer(spec, seed_of(attempt), substrate) {
+            Ok(re) => return (Some(re), attempt + 1),
+            Err(e) => last = Some(e),
+        }
     }
-    let mut mc = MemoryController::new(module);
-    faults::install(&mut mc, fault_profile, fault_seed);
+    if substrate.fault_profile == FaultProfile::Hostile {
+        return (None, RE_ATTEMPTS);
+    }
+    panic!(
+        "reverse-engineering {}: failed after {RE_ATTEMPTS} attempts: {}",
+        spec.id,
+        last.expect("at least one attempt ran")
+    )
+}
+
+/// Measures `HC_first` (footnote 1) on a module built from its spec on
+/// `substrate`, delegating to [`utrr_core::measure_hc_first`].
+///
+/// # Panics
+///
+/// Panics when the characterization cannot run on the built bank.
+pub fn measure_hc_first(
+    spec: &ModuleSpec,
+    samples: u32,
+    seed: u64,
+    substrate: &Substrate<'_>,
+) -> u64 {
+    let mut mc = substrate.controller(spec, seed);
     utrr_core::measure_hc_first(&mut mc, Bank::new(0), samples, spec.hc_first * 2)
         .expect("characterization runs on an in-range bank")
 }
@@ -385,32 +340,6 @@ pub fn attack_columns_par(
     pool: &par::ParConfig,
 ) -> Vec<BankSweep> {
     par::par_map(pool, specs, |spec| attack_columns(spec, config))
-}
-
-/// [`reverse_engineer_module_with`] for many modules on a worker pool;
-/// results are in `specs` order. Each task builds its own module (and
-/// engine) inside the worker, so nothing non-`Send` crosses threads.
-pub fn reverse_engineer_modules_par(
-    specs: &[ModuleSpec],
-    rows: u32,
-    seed: u64,
-    registry: Option<&std::sync::Arc<obs::MetricsRegistry>>,
-    pool: &par::ParConfig,
-) -> Vec<ReOutcome> {
-    par::par_map(pool, specs, |spec| reverse_engineer_module_with(spec, rows, seed, registry))
-}
-
-/// [`measure_hc_first_with`] for many modules on a worker pool; results
-/// are in `specs` order.
-pub fn measure_hc_first_modules_par(
-    specs: &[ModuleSpec],
-    rows: u32,
-    samples: u32,
-    seed: u64,
-    registry: Option<&std::sync::Arc<obs::MetricsRegistry>>,
-    pool: &par::ParConfig,
-) -> Vec<u64> {
-    par::par_map(pool, specs, |spec| measure_hc_first_with(spec, rows, samples, seed, registry))
 }
 
 /// Everything that determines a reverse-engineering outcome for a spec,
@@ -473,162 +402,6 @@ pub fn boxplot_line(q: (u32, u32, u32, u32, u32), max_scale: u32, width: usize) 
     }
     line[scale(med)] = '#';
     line.into_iter().collect()
-}
-
-/// Parses `--key value` style arguments, returning the value for `key`.
-pub fn arg_value(args: &[String], key: &str) -> Option<String> {
-    args.iter().position(|a| a == key).and_then(|i| args.get(i + 1).cloned())
-}
-
-/// The metrics artifact path for a run: the `--metrics-out <path>`
-/// argument, with the `UTRR_METRICS_OUT` environment variable as
-/// fallback. `None` disables the artifact (the summary table is still
-/// printed).
-pub fn metrics_out_path(args: &[String]) -> Option<std::path::PathBuf> {
-    arg_value(args, "--metrics-out")
-        .or_else(|| std::env::var("UTRR_METRICS_OUT").ok())
-        .map(std::path::PathBuf::from)
-}
-
-/// A shared run registry (detail instrumentation enabled): attach it to
-/// every module a binary builds so the whole run lands in one artifact.
-pub fn run_registry() -> std::sync::Arc<obs::MetricsRegistry> {
-    obs::MetricsRegistry::shared()
-}
-
-/// End-of-run metrics emission: writes the JSONL artifact when a path is
-/// configured and prints the human-readable summary table to stderr.
-///
-/// # Errors
-///
-/// Propagates artifact I/O errors.
-pub fn emit_metrics(
-    registry: &obs::MetricsRegistry,
-    path: Option<&std::path::Path>,
-) -> std::io::Result<()> {
-    if let Some(path) = path {
-        obs::jsonl::write_jsonl_to_path(registry, path)?;
-        eprintln!("metrics artifact: {}", path.display());
-    }
-    eprint!("{}", obs::report::render_summary(registry));
-    Ok(())
-}
-
-/// Whether a bare `--flag` is present.
-pub fn arg_flag(args: &[String], key: &str) -> bool {
-    args.iter().any(|a| a == key)
-}
-
-/// Flight-recorder arguments shared by every repro binary:
-/// `--trace-out PATH` (JSONL, schema `utrr-trace/1`), `--trace-chrome
-/// PATH` (Chrome `trace_event` JSON for chrome://tracing / Perfetto),
-/// and `--trace-rows SPEC` (`all`, or a comma list of physical rows and
-/// inclusive `A-B` ranges restricting capture to those rows ±2).
-#[derive(Debug, Clone)]
-pub struct TraceArgs {
-    /// JSONL trace path, when requested.
-    pub jsonl_out: Option<std::path::PathBuf>,
-    /// Chrome `trace_event` JSON path, when requested.
-    pub chrome_out: Option<std::path::PathBuf>,
-    /// Row filter for captured events.
-    pub filter: obs::TraceFilter,
-}
-
-impl TraceArgs {
-    /// Whether any trace output was requested.
-    pub fn enabled(&self) -> bool {
-        self.jsonl_out.is_some() || self.chrome_out.is_some()
-    }
-}
-
-/// Parses the flight-recorder arguments. Exits with status 2 on an
-/// unparsable `--trace-rows` spec.
-pub fn trace_args(args: &[String]) -> TraceArgs {
-    let filter = match arg_value(args, "--trace-rows") {
-        Some(spec) => obs::TraceFilter::parse(&spec).unwrap_or_else(|e| {
-            eprintln!("error: --trace-rows: {e}");
-            std::process::exit(2);
-        }),
-        None => obs::TraceFilter::all(),
-    };
-    TraceArgs {
-        jsonl_out: arg_value(args, "--trace-out").map(std::path::PathBuf::from),
-        chrome_out: arg_value(args, "--trace-chrome").map(std::path::PathBuf::from),
-        filter,
-    }
-}
-
-/// Installs a flight recorder into `registry` when tracing was
-/// requested. With no trace output configured this does nothing at all
-/// — the recorder stays uninstalled and every `trace()` call remains a
-/// single relaxed atomic load, keeping untraced runs byte-identical.
-pub fn install_trace(registry: &std::sync::Arc<obs::MetricsRegistry>, trace: &TraceArgs) {
-    if trace.enabled() {
-        registry.install_recorder(std::sync::Arc::new(obs::FlightRecorder::new(
-            obs::DEFAULT_TRACE_CAPACITY,
-            trace.filter.clone(),
-        )));
-    }
-}
-
-/// End-of-run trace emission: writes the requested JSONL and/or Chrome
-/// artifacts from the installed recorder, logging each path to stderr.
-///
-/// # Errors
-///
-/// Propagates artifact I/O errors.
-pub fn emit_trace(registry: &obs::MetricsRegistry, trace: &TraceArgs) -> std::io::Result<()> {
-    let Some(recorder) = registry.recorder() else {
-        return Ok(());
-    };
-    let (events, dropped) = recorder.snapshot();
-    if let Some(path) = &trace.jsonl_out {
-        obs::trace::write_trace_jsonl_to_path(&events, dropped, path)?;
-        eprintln!(
-            "trace artifact: {} ({} events, {} dropped)",
-            path.display(),
-            events.len(),
-            dropped
-        );
-    }
-    if let Some(path) = &trace.chrome_out {
-        obs::trace::write_chrome_trace_to_path(&events, path)?;
-        eprintln!("chrome trace: {} ({} events)", path.display(), events.len());
-    }
-    Ok(())
-}
-
-/// Fault-injection arguments for a run: `--faults none|mild|hostile`
-/// (default `none`, the strict no-op path) and `--fault-seed N` (default
-/// 1). Shared by every repro binary. Exits with status 2 on an
-/// unrecognised profile name.
-pub fn fault_args(args: &[String]) -> (FaultProfile, u64) {
-    let profile = match arg_value(args, "--faults") {
-        Some(name) => name.parse().unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }),
-        None => FaultProfile::None,
-    };
-    let seed = arg_value(args, "--fault-seed").and_then(|v| v.parse().ok()).unwrap_or(1);
-    (profile, seed)
-}
-
-/// Worker count for a run: the `--threads <n>` argument, with the
-/// `UTRR_THREADS` environment variable as fallback and the machine's
-/// available parallelism as default. Shared by every repro binary.
-pub fn threads_arg(args: &[String]) -> usize {
-    par::resolve_threads(arg_value(args, "--threads").and_then(|v| v.parse().ok()))
-}
-
-/// The worker-pool configuration for a run: `threads` workers with
-/// per-worker metrics (task counts, queue-wait and task-latency
-/// histograms, worker spans) landing in the run `registry`.
-pub fn par_config(
-    threads: usize,
-    registry: &std::sync::Arc<obs::MetricsRegistry>,
-) -> par::ParConfig {
-    par::ParConfig::metered(threads, std::sync::Arc::clone(registry))
 }
 
 /// Wall-clock per phase of a benchmark run, serialised to the
@@ -780,38 +553,10 @@ pub fn weak_scan_ns_per_row() -> f64 {
     start.elapsed().as_nanos() as f64 / f64::from(scanned)
 }
 
-/// Builds an analyzer with learned schedules for every group — used by
-/// benches that need schedule-filtered experiments.
-pub fn analyzer_with_schedules(
-    mc: &mut MemoryController,
-    bank: Bank,
-    groups: &[ProfiledRowGroup],
-) -> TrrAnalyzer {
-    let mut analyzer = TrrAnalyzer::new();
-    for g in groups {
-        learn_group_schedules(mc, bank, g, &mut analyzer).expect("schedules learnable");
-    }
-    analyzer
-}
-
-/// Formats a `Nanos` duration for report footers.
-pub fn fmt_sim_time(t: Nanos) -> String {
-    format!("{:.1} s simulated", t.as_ms_f64() / 1e3)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use utrr_modules::by_id;
-
-    #[test]
-    fn arg_parsing() {
-        let args: Vec<String> = ["--rows", "512", "--full"].iter().map(|s| s.to_string()).collect();
-        assert_eq!(arg_value(&args, "--rows").as_deref(), Some("512"));
-        assert_eq!(arg_value(&args, "--samples"), None);
-        assert!(arg_flag(&args, "--full"));
-        assert!(!arg_flag(&args, "--quick"));
-    }
 
     #[test]
     fn boxplot_is_width_stable() {
@@ -825,7 +570,7 @@ mod tests {
     #[test]
     fn hc_first_measurement_tracks_ground_truth() {
         let spec = by_id("A5").unwrap();
-        let measured = measure_hc_first(&spec, 1_024, 24, 11);
+        let measured = measure_hc_first(&spec, 24, 11, &Substrate::clean(1_024));
         let gt = spec.hc_first;
         assert!(
             measured as f64 > gt as f64 * 0.8 && (measured as f64) < gt as f64 * 2.5,
@@ -842,18 +587,17 @@ mod tests {
 
     #[test]
     fn metrics_artifact_round_trips() {
-        let registry = run_registry();
-        let spec = by_id("A5").unwrap();
-        let config =
-            EvalConfig { registry: Some(std::sync::Arc::clone(&registry)), ..EvalConfig::quick(4) };
-        // A metered pool, as the repro bins run it, so the artifact
-        // carries the pool's task-time histograms.
-        let pool = par_config(1, &registry);
-        let sweeps = attack_columns_par(std::slice::from_ref(&spec), &config, &pool);
-        assert!(sweeps[0].vulnerable_pct() > 0.0);
-
         let path = std::env::temp_dir().join(format!("utrr-artifact-{}.jsonl", std::process::id()));
-        emit_metrics(&registry, Some(&path)).expect("artifact writes");
+        let path_arg = path.to_str().expect("temp path is utf-8");
+        let ctx = RunContext::new(Args::new(["--threads", "1", "--metrics-out", path_arg]));
+        let spec = by_id("A5").unwrap();
+        // The context's metered pool, as the repro bins run it, so the
+        // artifact carries the pool's task-time histograms.
+        let config = ctx.eval_config(4, 2, 2_048);
+        let sweeps = attack_columns_par(std::slice::from_ref(&spec), &config, &ctx.pool);
+        assert!(sweeps[0].vulnerable_pct() > 0.0);
+        ctx.finish(None);
+
         let text = std::fs::read_to_string(&path).expect("artifact readable");
         let _ = std::fs::remove_file(&path);
         let records = obs::jsonl::parse_jsonl(&text).expect("every line parses");

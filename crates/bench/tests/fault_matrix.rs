@@ -1,16 +1,12 @@
 //! The fault matrix: the reverse-engineering pipeline must stay
-//! *correct* under the `mild` fault profile (recovering every module's
+//! *correct* under the `mild` fault profile, recovering every module's
 //! ground-truth TRR parameters through retries, voting, and
-//! quarantine), and the `none` profile must be a strict no-op — the
-//! same commands, the same results, bit for bit, as a build without
-//! the fault layer.
+//! quarantine. (The `none` profile's strict no-op contract is pinned by
+//! the workspace root's `tests/fault_contract.rs`.)
 
 use faults::FaultProfile;
 use obs::MetricsRegistry;
-use utrr_bench::{
-    measure_hc_first_faulty, measure_hc_first_with, reverse_engineer_module_faulty,
-    reverse_engineer_module_with,
-};
+use utrr_bench::{measure_hc_first, reverse_engineer, Substrate};
 use utrr_modules::by_id;
 
 /// One module per vendor: counter-based (A), sampling-based (B), and
@@ -24,14 +20,14 @@ fn mild_faults_do_not_break_reverse_engineering() {
     let registry = MetricsRegistry::shared();
     for id in VENDOR_SAMPLE {
         let spec = by_id(id).expect("catalog module");
-        let outcome = reverse_engineer_module_faulty(
-            &spec,
-            ROWS,
-            SEED,
-            Some(&registry),
-            FaultProfile::Mild,
-            1,
-        );
+        let substrate = Substrate {
+            rows: ROWS,
+            registry: Some(&registry),
+            fault_profile: FaultProfile::Mild,
+            fault_seed: 1,
+        };
+        let outcome = reverse_engineer(&spec, SEED, &substrate)
+            .unwrap_or_else(|e| panic!("{id}: reverse engineering failed under mild faults: {e}"));
         assert!(
             outcome.matches.all(),
             "{id}: mild faults broke the inference: {:?} (profile {:?})",
@@ -57,43 +53,12 @@ fn mild_faults_do_not_break_reverse_engineering() {
 }
 
 #[test]
-fn none_profile_is_a_strict_noop() {
-    let spec = by_id("A5").expect("catalog module");
-
-    let clean_registry = MetricsRegistry::shared();
-    let clean = reverse_engineer_module_with(&spec, ROWS, SEED, Some(&clean_registry));
-
-    // Any fault seed: under `None` the plan is never installed, so the
-    // seed must be irrelevant and the command stream identical.
-    let noop_registry = MetricsRegistry::shared();
-    let noop = reverse_engineer_module_faulty(
-        &spec,
-        ROWS,
-        SEED,
-        Some(&noop_registry),
-        FaultProfile::None,
-        0xDEAD_BEEF,
-    );
-
-    assert_eq!(noop.profile, clean.profile);
-    assert_eq!(noop.refresh_period, clean.refresh_period);
-    assert_eq!(noop.matches, clean.matches);
-    // Same command traffic, not merely the same conclusion.
-    for name in [dram_sim::metrics::CTR_ACT, dram_sim::metrics::CTR_ROW_READS] {
-        assert_eq!(
-            noop_registry.counter(name).get(),
-            clean_registry.counter(name).get(),
-            "command counter {name} diverged under the none profile"
-        );
-    }
-    assert_eq!(noop_registry.counter(faults::CTR_INJECTED_TOTAL).get(), 0);
-}
-
-#[test]
 fn hc_first_measurement_survives_mild_faults() {
     let spec = by_id("A5").expect("catalog module");
-    let clean = measure_hc_first_with(&spec, ROWS, 16, 11, None);
-    let faulty = measure_hc_first_faulty(&spec, ROWS, 16, 11, None, FaultProfile::Mild, 1);
+    let clean = measure_hc_first(&spec, 16, 11, &Substrate::clean(ROWS));
+    let mild =
+        Substrate { fault_profile: FaultProfile::Mild, fault_seed: 1, ..Substrate::clean(ROWS) };
+    let faulty = measure_hc_first(&spec, 16, 11, &mild);
     // The binary-search characterization self-heals through voted
     // reads; the mild substrate may nudge individual probes but the
     // estimate must stay within the sampling tolerance of Table 1.

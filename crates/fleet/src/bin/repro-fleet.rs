@@ -15,30 +15,38 @@
 //! exist. A killed run continues with `--resume` against the same
 //! `--out` directory; the merged output is byte-identical to an
 //! uninterrupted run for any thread count. `--stop-after-shards N` is
-//! the deterministic kill switch the resume tests and CI use.
+//! the deterministic kill switch the resume tests and CI use. The
+//! `--trace-*` flags are rejected (exit 2): every module runs on a
+//! private registry, so a run-level trace would be empty.
 //!
 //! `summarise` aggregates a merged stream into the Table-1-style fleet
 //! report (population shares, `HC_first` quantiles, recovery totals).
 
-use faults::FaultProfile;
-use utrr_bench::{
-    arg_flag, arg_value, emit_metrics, fault_args, metrics_out_path, par_config, run_registry,
-    threads_arg, BenchPhases,
-};
+use utrr_bench::{Args, BenchPhases, RunContext};
 use utrr_fleet::record::SweepParams;
 use utrr_fleet::{FleetConfig, FleetSummary, RunOptions};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("summarise") {
-        summarise(&args);
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    if argv.first().map(String::as_str) == Some("summarise") {
+        summarise(&argv);
         return;
     }
+    let args = Args::new(argv);
+    for flag in ["--trace-out", "--trace-chrome", "--trace-rows"] {
+        if args.flag(flag) {
+            eprintln!(
+                "error: {flag}: repro-fleet records no trace (modules run on private registries)"
+            );
+            std::process::exit(2);
+        }
+    }
+    let ctx = RunContext::new(args);
 
-    let modules: u64 = arg_value(&args, "--modules").and_then(|v| v.parse().ok()).unwrap_or(64);
-    let shards: u32 = arg_value(&args, "--shards").and_then(|v| v.parse().ok()).unwrap_or(8);
-    let seed: u64 = arg_value(&args, "--seed").and_then(|v| v.parse().ok()).unwrap_or(1);
-    let rows: u32 = arg_value(&args, "--rows").and_then(|v| v.parse().ok()).unwrap_or(2_048);
+    let modules: u64 = ctx.num("--modules").unwrap_or(64);
+    let shards: u32 = ctx.num("--shards").unwrap_or(8);
+    let seed: u64 = ctx.num("--seed").unwrap_or(1);
+    let rows: u32 = ctx.num("--rows").unwrap_or(2_048);
     // The reverse-engineering suite needs room for its pair groups on
     // every anchor; below 2048 scaled rows the Row Scout can run dry.
     let rows = if rows < 2_048 {
@@ -47,18 +55,10 @@ fn main() {
     } else {
         rows
     };
-    let hc_samples: u32 =
-        arg_value(&args, "--hc-samples").and_then(|v| v.parse().ok()).unwrap_or(6);
-    let attack_samples: u32 =
-        arg_value(&args, "--samples").and_then(|v| v.parse().ok()).unwrap_or(6);
-    let out_dir = arg_value(&args, "--out").unwrap_or_else(|| "fleet-out".into());
-    let resume = arg_flag(&args, "--resume");
-    let stop_after_shards = arg_value(&args, "--stop-after-shards").and_then(|v| v.parse().ok());
-    let (fault_profile, fault_seed) = fault_args(&args);
-    let metrics_path = metrics_out_path(&args);
-    let bench_path = arg_value(&args, "--bench-out").map(std::path::PathBuf::from);
-    let threads = threads_arg(&args);
-    let registry = run_registry();
+    let hc_samples: u32 = ctx.num("--hc-samples").unwrap_or(6);
+    let attack_samples: u32 = ctx.num("--samples").unwrap_or(6);
+    let out_dir = ctx.value("--out").unwrap_or_else(|| "fleet-out".into());
+    let threads = ctx.threads;
     let mut bench = BenchPhases::new(threads);
 
     let config = FleetConfig {
@@ -69,16 +69,16 @@ fn main() {
             base_rows: rows,
             hc_samples,
             attack_samples,
-            fault_profile,
-            fault_seed,
+            fault_profile: ctx.fault_profile,
+            fault_seed: ctx.fault_seed,
         },
     };
     let opts = RunOptions {
-        out_dir: out_dir.clone().into(),
-        resume,
-        stop_after_shards,
-        pool: par_config(threads, &registry),
-        registry: Some(std::sync::Arc::clone(&registry)),
+        out_dir: out_dir.into(),
+        resume: ctx.flag("--resume"),
+        stop_after_shards: ctx.num("--stop-after-shards"),
+        pool: ctx.pool.clone(),
+        registry: Some(std::sync::Arc::clone(&ctx.registry)),
         progress: true,
     };
 
@@ -87,9 +87,7 @@ fn main() {
          {threads} threads",
         config.effective_shards()
     );
-    if fault_profile != FaultProfile::None {
-        println!("# fault injection: {fault_profile} profile, seed {fault_seed}");
-    }
+    ctx.print_fault_banner();
 
     let start = std::time::Instant::now();
     let outcome = bench.time("fleet_sweep", || run_fleet_or_exit(&config, &opts));
@@ -127,19 +125,7 @@ fn main() {
         }
     }
 
-    if let Some(path) = &bench_path {
-        match bench.write(path) {
-            Ok(()) => eprintln!("bench artifact: {}", path.display()),
-            Err(e) => {
-                eprintln!("error: writing {}: {e}", path.display());
-                std::process::exit(1);
-            }
-        }
-    }
-    if let Err(e) = emit_metrics(&registry, metrics_path.as_deref()) {
-        eprintln!("error: writing metrics artifact: {e}");
-        std::process::exit(1);
-    }
+    ctx.finish(Some(&bench));
 }
 
 fn run_fleet_or_exit(config: &FleetConfig, opts: &RunOptions) -> utrr_fleet::RunOutcome {

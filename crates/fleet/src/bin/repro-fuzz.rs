@@ -22,45 +22,33 @@
 //! that a bypass found against the catalog representative generalises
 //! across per-die variation.
 
-use attacks::eval::{sweep_bank, EvalConfig};
+use attacks::eval::sweep_bank;
 use attacks::fuzz::{render_fuzz_jsonl, run_fuzz, FuzzConfig, FuzzPattern};
 use attacks::AttackBuilder;
-use utrr_bench::{
-    arg_value, emit_metrics, emit_trace, fault_args, install_trace, metrics_out_path, par_config,
-    run_registry, threads_arg, trace_args, BenchPhases,
-};
+use utrr_bench::{BenchPhases, RunContext};
 use utrr_fleet::synth_spec;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let seed: u64 = arg_value(&args, "--seed").and_then(|v| v.parse().ok()).unwrap_or(1);
-    let rounds: u32 = arg_value(&args, "--rounds").and_then(|v| v.parse().ok()).unwrap_or(3);
-    let candidates: u32 =
-        arg_value(&args, "--candidates").and_then(|v| v.parse().ok()).unwrap_or(24);
-    let elites: u32 = arg_value(&args, "--elites").and_then(|v| v.parse().ok()).unwrap_or(4);
-    let engines: Vec<String> = arg_value(&args, "--engines")
+    let ctx = RunContext::from_env();
+    let seed: u64 = ctx.num("--seed").unwrap_or(1);
+    let rounds: u32 = ctx.num("--rounds").unwrap_or(3);
+    let candidates: u32 = ctx.num("--candidates").unwrap_or(24);
+    let elites: u32 = ctx.num("--elites").unwrap_or(4);
+    let engines: Vec<String> = ctx
+        .value("--engines")
         .unwrap_or_else(|| "A_TRR1,B_TRR1,C_TRR1".into())
         .split(',')
         .map(str::trim)
         .filter(|s| !s.is_empty())
         .map(str::to_string)
         .collect();
-    let rows: u32 = arg_value(&args, "--rows").and_then(|v| v.parse().ok()).unwrap_or(1_024);
-    let samples: u32 = arg_value(&args, "--samples").and_then(|v| v.parse().ok()).unwrap_or(6);
-    let windows: u32 = arg_value(&args, "--windows").and_then(|v| v.parse().ok()).unwrap_or(1);
-    let out_path = arg_value(&args, "--out").map(std::path::PathBuf::from);
-    let fleet: u64 = arg_value(&args, "--fleet").and_then(|v| v.parse().ok()).unwrap_or(0);
-    let fleet_seed: u64 =
-        arg_value(&args, "--fleet-seed").and_then(|v| v.parse().ok()).unwrap_or(1);
-    let (fault_profile, fault_seed) = fault_args(&args);
-    let metrics_path = metrics_out_path(&args);
-    let bench_path = arg_value(&args, "--bench-out").map(std::path::PathBuf::from);
-    let trace = trace_args(&args);
-    let threads = threads_arg(&args);
-    let registry = run_registry();
-    install_trace(&registry, &trace);
-    let pool = par_config(threads, &registry);
-    let mut bench = BenchPhases::new(threads);
+    let rows: u32 = ctx.num("--rows").unwrap_or(1_024);
+    let samples: u32 = ctx.num("--samples").unwrap_or(6);
+    let windows: u32 = ctx.num("--windows").unwrap_or(1);
+    let out_path = ctx.value("--out").map(std::path::PathBuf::from);
+    let fleet: u64 = ctx.num("--fleet").unwrap_or(0);
+    let fleet_seed: u64 = ctx.num("--fleet-seed").unwrap_or(1);
+    let mut bench = BenchPhases::new(ctx.threads);
 
     let config = FuzzConfig {
         seed,
@@ -68,15 +56,7 @@ fn main() {
         candidates,
         elites,
         engines,
-        eval: EvalConfig {
-            sample_count: samples,
-            windows,
-            scaled_rows: Some(rows),
-            registry: Some(std::sync::Arc::clone(&registry)),
-            fault_profile,
-            fault_seed,
-            ..EvalConfig::quick(samples)
-        },
+        eval: ctx.eval_config(samples, windows, rows),
     };
 
     println!(
@@ -86,12 +66,13 @@ fn main() {
         config.engines.join(","),
     );
     println!(
-        "# eval: {rows} rows/bank, {samples} positions, {windows} windows, faults {fault_profile}"
+        "# eval: {rows} rows/bank, {samples} positions, {windows} windows, faults {}",
+        ctx.fault_profile
     );
 
     let start = std::time::Instant::now();
     let outcome = bench.time("fuzz_sweep", || {
-        run_fuzz(&config, &pool).unwrap_or_else(|e| {
+        run_fuzz(&config, &ctx.pool).unwrap_or_else(|e| {
             eprintln!("error: {e}");
             std::process::exit(2);
         })
@@ -135,7 +116,7 @@ fn main() {
                 let params = leader.params;
                 let eval = config.eval.clone();
                 let indices: Vec<u64> = (0..fleet).collect();
-                let flips: Vec<u64> = par::par_map(&pool, &indices, |&i| {
+                let flips: Vec<u64> = par::par_map(&ctx.pool, &indices, |&i| {
                     let synth = synth_spec(fleet_seed, i, rows.max(2_048));
                     let attack = AttackBuilder::from_attack(FuzzPattern { params }).build();
                     let sweep = sweep_bank(&synth.spec, &attack, &eval);
@@ -161,21 +142,5 @@ fn main() {
             }
         }
     }
-    if let Some(path) = &bench_path {
-        match bench.write(path) {
-            Ok(()) => eprintln!("bench artifact: {}", path.display()),
-            Err(e) => {
-                eprintln!("error: writing {}: {e}", path.display());
-                std::process::exit(1);
-            }
-        }
-    }
-    if let Err(e) = emit_trace(&registry, &trace) {
-        eprintln!("error: writing trace artifact: {e}");
-        std::process::exit(1);
-    }
-    if let Err(e) = emit_metrics(&registry, metrics_path.as_deref()) {
-        eprintln!("error: writing metrics artifact: {e}");
-        std::process::exit(1);
-    }
+    ctx.finish(Some(&bench));
 }

@@ -19,8 +19,9 @@ use dram_sim::rng::derive_seed;
 use faults::FaultProfile;
 use obs::jsonl::JsonValue;
 use obs::MetricsRegistry;
+pub use utrr_bench::RE_ATTEMPTS;
 use utrr_bench::{
-    attack_columns, detection_label, measure_hc_first_faulty, try_reverse_engineer_module_faulty,
+    attack_columns, detection_label, measure_hc_first, reverse_engineer_with_retries, Substrate,
 };
 use utrr_core::recovery::VerdictTier;
 
@@ -123,13 +124,6 @@ pub struct FleetRecord {
     pub budget_trips: u64,
 }
 
-/// Retry budget for the reverse-engineering suite. On arbitrary seeds a
-/// few percent of modules draw a weak-cell population the scout or the
-/// schedule learner cannot converge on; a fresh experiment seed (a pure
-/// function of the module seed and the attempt number, so retries are
-/// deterministic) recovers them.
-pub const RE_ATTEMPTS: u32 = 4;
-
 /// Runs the full pipeline for module `index` and returns its record.
 ///
 /// Under the `hostile` profile a module whose reverse engineering
@@ -152,46 +146,21 @@ pub fn characterize(params: &SweepParams, index: u64) -> FleetRecord {
     let registry = std::sync::Arc::new(MetricsRegistry::new());
     let fault_seed = derive_seed(synth.seed ^ params.fault_seed, 5);
 
-    let mut re_attempts = 0;
-    let re = loop {
-        // Streams 2..5 feed the first attempt's phases; retries move to
-        // a disjoint stream block (16, 32, …) per attempt.
-        let re_seed = derive_seed(synth.seed, 2 + 16 * u64::from(re_attempts));
-        re_attempts += 1;
-        match try_reverse_engineer_module_faulty(
-            spec,
-            synth.rows,
-            re_seed,
-            Some(&registry),
-            params.fault_profile,
-            fault_seed,
-        ) {
-            Ok(re) => break Some(re),
-            Err(e) if re_attempts < RE_ATTEMPTS => {
-                registry.counter(CTR_RE_RETRIES).inc();
-                let _ = e;
-            }
-            // The retry ladder is exhausted. Hostile shards isolate the
-            // failure as an inconclusive record and keep sweeping;
-            // below hostile severity an exhausted ladder is a real
-            // regression and still aborts loudly.
-            Err(_) if params.fault_profile == FaultProfile::Hostile => break None,
-            Err(e) => panic!(
-                "module {} (index {index}): reverse engineering failed after \
-                 {re_attempts} attempts: {e}",
-                spec.id
-            ),
-        }
-    };
-    let hc = measure_hc_first_faulty(
-        spec,
-        synth.rows,
-        params.hc_samples,
-        derive_seed(synth.seed, 3),
-        Some(&registry),
-        params.fault_profile,
+    let substrate = Substrate {
+        rows: synth.rows,
+        registry: Some(&registry),
+        fault_profile: params.fault_profile,
         fault_seed,
-    );
+    };
+    // Streams 2..5 feed the first attempt's phases; retries move to a
+    // disjoint stream block (16, 32, …) per attempt.
+    let (re, re_attempts) = reverse_engineer_with_retries(spec, &substrate, |attempt| {
+        derive_seed(synth.seed, 2 + 16 * u64::from(attempt))
+    });
+    if re_attempts > 1 {
+        registry.counter(CTR_RE_RETRIES).add(u64::from(re_attempts - 1));
+    }
+    let hc = measure_hc_first(spec, params.hc_samples, derive_seed(synth.seed, 3), &substrate);
     let eval = EvalConfig {
         sample_count: params.attack_samples,
         windows: 1,

@@ -295,20 +295,6 @@ impl ModuleSpec {
         };
         Module::with_engine(config, self.engine(seed ^ 0x7272), seed)
     }
-
-    /// Like [`ModuleSpec::build_scaled`], but attaches `registry` to the
-    /// built module so its command counters, latency histograms, and TRR
-    /// engine metrics land in a shared run artifact.
-    pub fn build_scaled_with_registry(
-        &self,
-        rows_per_bank: u32,
-        seed: u64,
-        registry: std::sync::Arc<obs::MetricsRegistry>,
-    ) -> Module {
-        let mut module = self.build_scaled(rows_per_bank, seed);
-        module.attach_registry(registry);
-        module
-    }
 }
 
 /// Expands one Table-1 row (which may cover several modules) into
@@ -839,11 +825,8 @@ mod tests {
     #[test]
     fn registry_builds_share_one_artifact() {
         let registry = std::sync::Arc::new(obs::MetricsRegistry::new());
-        let mut m = by_id("A5").unwrap().build_scaled_with_registry(
-            1024,
-            3,
-            std::sync::Arc::clone(&registry),
-        );
+        let mut m = by_id("A5").unwrap().build_scaled(1024, 3);
+        m.attach_registry(std::sync::Arc::clone(&registry));
         m.hammer(dram_sim::Bank::new(0), dram_sim::RowAddr::new(10), 50).unwrap();
         m.flush_metrics();
         assert_eq!(registry.counter("dram.cmd.act").get(), 50);
